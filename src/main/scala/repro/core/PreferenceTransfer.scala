@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.roadnet.{CostType, Preference}
 import repro.util.LinAlg
 
@@ -19,10 +18,12 @@ import scala.collection.mutable
   * (normalised to [0,1]; the paper sweeps amr over 0.5–0.9 which implies a
   * normalised score — see DESIGN.md). The adjacency matrix M keeps entries
   * ≥ amr; the transferred labels Ŷ solve (S + μ₁L + μ₂I)Ŷ·ₓ = SY·ₓ with
-  * L = D − M (Eq. 3), one conjugate-gradient solve per feature column.
+  * L = D − M (Eq. 3), one preconditioned conjugate-gradient solve per feature
+  * column.
   *
-  * Pairwise similarity is computed as a distributed crossJoin; the sparse
-  * solve itself is driver-side (n = #region edges is small).
+  * Both steps run on the driver (n = #region edges is small): a band-pruned
+  * bitmask similarity join (the size filter of Bayardo, Ma & Srikant, WWW
+  * 2007) and a preconditioned CG over primitive CSR arrays.
   */
 object PreferenceTransfer {
 
@@ -42,13 +43,17 @@ object PreferenceTransfer {
 
   /** Region-edge similarity, in [0, 1]. */
   def reSim(disA: Double, fA: Seq[Int], disB: Double, fB: Seq[Int]): Double = {
-    val lo = math.min(disA, disB); val hi = math.max(disA, disB)
-    val dSim = if (hi <= 0) 1.0 else lo / hi
     val sa = fA.toSet; val sb = fB.toSet
-    val union = (sa union sb).size
-    val jSim = if (union == 0) 0.0 else (sa intersect sb).size.toDouble / union
-    0.5 * (dSim + jSim)
+    score(disRatio(disA, disB), (sa intersect sb).size, (sa union sb).size)
   }
+
+  private def disRatio(disA: Double, disB: Double): Double = {
+    val lo = math.min(disA, disB); val hi = math.max(disA, disB)
+    if (hi <= 0) 1.0 else lo / hi
+  }
+
+  private def score(dSim: Double, inter: Int, union: Int): Double =
+    0.5 * (dSim + (if (union == 0) 0.0 else inter.toDouble / union))
 
   /** Number of feature columns: 3 master (DI/TT/FC) + 6 slave road types. */
   val P: Int = 9
@@ -60,35 +65,62 @@ object PreferenceTransfer {
       yHat: Array[Array[Double]],
       nullRate: Double,
       adjacencyNnz: Long,
-      solveMillis: Long)
+      solveMillis: Long,
+      /** per feature column: CG iterations and true relative residual of its solve */
+      cgIterations: IndexedSeq[Int],
+      cgResidual: IndexedSeq[Double])
 
-  /** Pairwise similarities ≥ amr over all region edges: the O(n²) sweep is
-    * distributed by row (each task scans one strip of the broadcast
-    * feature table), which is far cheaper than a Catalyst crossJoin with a
-    * per-pair UDF at this density.
+  /** Pairwise similarities ≥ amr over all region edges, as (i, j, s) with
+    * i < j, sorted by (i, j). The join runs on the driver; `spark` is unused
+    * and kept for callers.
     */
   def adjacency(spark: SparkSession, feats: IndexedSeq[REdgeFeat], amr: Double): Seq[(Int, Int, Double)] = {
-    import spark.implicits._
+    val m = similarityGraph(feats, amr)
+    for (i <- feats.indices; k <- (m.rowPtr(i) until m.rowPtr(i + 1)).filter(m.cols(_) > i).sortBy(m.cols(_)))
+      yield (i, m.cols(k), m.vals(k))
+  }
+
+  /** M as a symmetric CSR with a zero diagonal. Edges are scanned in dis
+    * order: reSim ≥ amr needs lo/hi dis ≥ 2·amr − 1, as the Jaccard term is
+    * at most 1, and lo/hi only falls as hi grows, so each scan stops at the
+    * first pair below that bound (less a slack for rounding; a negative or
+    * NaN dis turns the stop off). 𝔽 is a bitmask over the distinct pair
+    * codes, `words` longs per edge, and scores use reSim's arithmetic, so
+    * they are bit-identical to it.
+    */
+  private def similarityGraph(feats: IndexedSeq[REdgeFeat], amr: Double): LinAlg.Csr = {
     val n = feats.length
-    if (n <= 1) return Nil
-    val compact = feats.map(f => (f.dis, f.fpairs.toArray))
-    val bc = spark.sparkContext.broadcast(compact)
-    spark.range(0, n.toLong)
-      .as[Long]
-      .repartition(math.max(1, math.min(n / 4 + 1, spark.sparkContext.defaultParallelism * 2)))
-      .flatMap { i0 =>
-        val fs = bc.value
-        val i = i0.toInt
-        val (da, fa) = fs(i)
-        val faSeq = fa.toSeq
-        ((i + 1) until fs.length).iterator.flatMap { j =>
-          val (db, fb) = fs(j)
-          val s = reSim(da, faSeq, db, fb.toSeq)
-          if (s >= amr) Some((i, j, s)) else None
+    val bit = feats.flatMap(_.fpairs).distinct.zipWithIndex.toMap
+    val words = (bit.size + 63) / 64
+    val mask = new Array[Long](n * words)
+    for (i <- 0 until n; c <- feats(i).fpairs) mask(i * words + bit(c) / 64) |= 1L << (bit(c) % 64)
+    val dis = feats.map(_.dis).toArray
+    val order = (0 until n).sortBy(dis)(Ordering.Double.TotalOrdering).toArray
+    val bound = if (dis.forall(_ >= 0)) 2 * amr - 1 - 1e-9 else Double.NegativeInfinity
+    val nbr = Array.fill(n)(mutable.ArrayBuilder.make[Int])
+    val sim = Array.fill(n)(mutable.ArrayBuilder.make[Double])
+    for (p <- 0 until n) {
+      val a = order(p)
+      var q = p + 1
+      while (q < n) {
+        val b = order(q)
+        val dSim = disRatio(dis(a), dis(b))
+        if (dSim < bound) q = n // every later edge is farther
+        else {
+          var inter = 0; var union = 0; var w = 0
+          while (w < words) {
+            val x = mask(a * words + w); val y = mask(b * words + w)
+            inter += java.lang.Long.bitCount(x & y); union += java.lang.Long.bitCount(x | y)
+            w += 1
+          }
+          val s = score(dSim, inter, union)
+          if (s >= amr) { nbr(a) += b; sim(a) += s; nbr(b) += a; sim(b) += s }
+          q += 1
         }
       }
-      .collect()
-      .toSeq
+    }
+    val rows = nbr.map(_.result())
+    LinAlg.Csr(new Array[Double](n), rows.scanLeft(0)(_ + _.length), rows.flatten, sim.flatMap(_.result()))
   }
 
   /** Decode one Ŷ row into a preference: master = argmax over cost columns
@@ -107,55 +139,30 @@ object PreferenceTransfer {
   }
 
   /** Run the transduction. T-edge rows of Y are one-hot in their learned
-    * features; B-edge rows start at zero (unlabelled).
+    * features; B-edge rows start at zero (unlabelled). Runs on the driver;
+    * `spark` is unused and kept for callers. Throws when a CG solve fails.
     */
   def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
                amr: Double = 0.7, mu1: Double = 1.0, mu2: Double = 0.01,
                slaveFraction: Double = 0.25): TransferResult = {
     val n = feats.length
-    val entries = adjacency(spark, feats, amr)
+    val m = similarityGraph(feats, amr)
     val t0 = System.nanoTime()
 
-    // CSR-ish structure for A = S + μ₁(D − M) + μ₂I
-    val deg = new Array[Double](n)
-    val rows = Array.fill(n)(mutable.ArrayBuffer.empty[(Int, Double)])
-    entries.foreach { case (i, j, s) =>
-      deg(i) += s; deg(j) += s
-      rows(i) += ((j, s)); rows(j) += ((i, s))
+    // A = S + μ₁(D − M) + μ₂I on M's sparsity pattern
+    val diag = Array.tabulate(n) { i =>
+      val deg = (m.rowPtr(i) until m.rowPtr(i + 1)).foldLeft(0.0)(_ + m.vals(_))
+      (if (feats(i).isT) 1.0 else 0.0) + mu1 * deg + mu2
     }
-    val sDiag = feats.map(f => if (f.isT) 1.0 else 0.0).toArray
-    val diag = Array.tabulate(n)(i => sDiag(i) + mu1 * deg(i) + mu2)
-    val rowArr = rows.map(_.toArray)
+    val a = LinAlg.Csr(diag, m.rowPtr, m.cols, m.vals.map(s => -mu1 * s))
 
-    def matvec(x: Array[Double]): Array[Double] = {
-      val out = new Array[Double](n)
-      var i = 0
-      while (i < n) {
-        var s = diag(i) * x(i)
-        val r = rowArr(i)
-        var k = 0
-        while (k < r.length) { s -= mu1 * r(k)._2 * x(r(k)._1); k += 1 }
-        out(i) = s
-        i += 1
-      }
-      out
-    }
-
-    // Y columns (only T-edge rows are non-zero); solve p systems
+    // one solve per Y column; S·Y is Y's T-edge rows (S[i,i] = 1 for T-edges)
     val yHat = Array.fill(n)(new Array[Double](P))
-    for (x <- 0 until P) {
-      val b = new Array[Double](n)
-      feats.zipWithIndex.foreach { case (f, i) =>
-        if (f.isT) {
-          val hot = (x < 3 && f.masterId == x) || (x >= 3 && f.slaveRt == x - 2)
-          if (hot) b(i) = 1.0 // S·Y with S[i,i]=1 for T-edges
-        }
-      }
-      if (b.exists(_ != 0.0)) {
-        val sol = LinAlg.cg(matvec, b)
-        var i = 0
-        while (i < n) { yHat(i)(x) = sol(i); i += 1 }
-      }
+    val solves = (0 until P).map { x =>
+      val b = feats.map(f => if (f.isT && (if (x < 3) f.masterId == x else f.slaveRt == x - 2)) 1.0 else 0.0)
+      val sol = LinAlg.cg(a, b.toArray)
+      for (i <- 0 until n) yHat(i)(x) = sol.x(i)
+      sol
     }
     val solveMillis = (System.nanoTime() - t0) / 1000000
 
@@ -167,7 +174,8 @@ object PreferenceTransfer {
     val bRows = feats.zipWithIndex.filterNot(_._1.isT)
     val nulls = bRows.count { case (f, i) => decode(yHat(i), slaveFraction).isEmpty }
     val nullRate = if (bRows.isEmpty) 0.0 else nulls.toDouble / bRows.size
-    TransferResult(prefs, yHat, nullRate, entries.size.toLong, solveMillis)
+    TransferResult(prefs, yHat, nullRate, m.cols.length / 2L, solveMillis,
+      solves.map(_.iterations), solves.map(_.relResidual))
   }
 
   /** Build region-edge features from a region graph and the learned T-edge

@@ -72,6 +72,34 @@ class PreferenceTransferSpec extends SparkSpec {
     assert(lo >= hi)
   }
 
+  private def bits(e: Seq[(Int, Int, Double)]): Seq[(Int, Int, Long)] =
+    e.map { case (i, j, s) => (i, j, java.lang.Double.doubleToRawLongBits(s)) }
+
+  test("adjacency equals a brute-force reSim sweep bit for bit, at every amr") {
+    val rnd = new scala.util.Random(33)
+    val codes = IndexedSeq.tabulate(90)(k => 11 + 7 * k)
+    val base = IndexedSeq.tabulate(240) { k =>
+      val dis = rnd.nextInt(10) match {
+        case 0         => 0.0
+        case 1 | 2 | 3 => Seq(1.0, 2.0, 2.5, 4.0)(rnd.nextInt(4)) // ties
+        case _         => rnd.nextDouble() * 20
+      }
+      val fp = if (rnd.nextInt(8) == 0) Nil else Seq.fill(1 + rnd.nextInt(5))(codes(rnd.nextInt(codes.size)))
+      feat(k, isT = k % 2 == 0, dis, fp)
+    }
+    // copies give similarity-1 pairs for amr = 1
+    val feats = base ++ base.take(20).map(f => f.copy(ri = f.ri + 500))
+    assert(feats.flatMap(_.fpairs).distinct.size > 64, "the codes must not fit one 64-bit word")
+    for (amr <- Seq(0.3, 0.5, 0.7, 0.9, 1.0)) {
+      val expect = for {
+        i <- feats.indices; j <- i + 1 until feats.size
+        s = reSim(feats(i).dis, feats(i).fpairs, feats(j).dis, feats(j).fpairs) if s >= amr
+      } yield (i, j, s)
+      assert(expect.nonEmpty)
+      assert(bits(adjacency(spark, feats, amr)) === bits(expect), s"amr $amr")
+    }
+  }
+
   // ------------------------------------------------------------ transfer
 
   test("the Figure-7 shape: B-edges inherit the most similar T-edge's preference") {
@@ -140,6 +168,23 @@ class PreferenceTransferSpec extends SparkSpec {
 
   // ------------------------------------------------------------ the solver
 
+  /** A = S + μ₁(D − M) + μ₂I of Eq. 3, dense, from the adjacency entries. */
+  private def denseA(feats: IndexedSeq[REdgeFeat], amr: Double, mu1: Double, mu2: Double): Array[Array[Double]] = {
+    val n = feats.length
+    val m = Array.fill(n, n)(0.0)
+    adjacency(spark, feats, amr).foreach { case (i, j, s) => m(i)(j) = s; m(j)(i) = s }
+    Array.tabulate(n, n) { (i, j) =>
+      val sDiag = if (feats(i).isT) 1.0 else 0.0
+      val deg = m(i).sum
+      val lij = (if (i == j) deg else 0.0) - m(i)(j)
+      (if (i == j) sDiag + mu2 else 0.0) + mu1 * lij
+    }
+  }
+
+  /** Column x of S·Y: 1 where a T-edge's learned preference has feature x. */
+  private def rhs(feats: IndexedSeq[REdgeFeat], x: Int): Array[Double] =
+    feats.map(f => if (f.isT && ((x < 3 && f.masterId == x) || (x >= 3 && f.slaveRt == x - 2))) 1.0 else 0.0).toArray
+
   test("transfer solves Eq.3: (S + μ1·L + μ2·I)·Ŷ = S·Y (dense-oracle check)") {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, isT = true, 4.0, Seq(11, 12), CostType.DI.id, 1),
@@ -148,27 +193,45 @@ class PreferenceTransferSpec extends SparkSpec {
       REdgeFeat(7, 8, isT = false, 5.2, Seq(11, 13), -1, -1))
     val amr = 0.3; val mu1 = 1.0; val mu2 = 0.01
     val res = transfer(spark, feats, amr, mu1, mu2)
-    // rebuild A densely and solve with Gaussian elimination
-    val n = feats.length
-    val entries = adjacency(spark, feats, amr)
-    val m = Array.fill(n, n)(0.0)
-    entries.foreach { case (i, j, s) => m(i)(j) = s; m(j)(i) = s }
-    val a = Array.tabulate(n, n) { (i, j) =>
-      val sDiag = if (feats(i).isT) 1.0 else 0.0
-      val deg = m(i).sum
-      val lij = (if (i == j) deg else 0.0) - m(i)(j)
-      (if (i == j) sDiag + mu2 else 0.0) + mu1 * lij
-    }
+    val a = denseA(feats, amr, mu1, mu2)
     for (x <- 0 until P) {
-      val b = Array.tabulate(n) { i =>
-        if (feats(i).isT && ((x < 3 && feats(i).masterId == x) || (x >= 3 && feats(i).slaveRt == x - 2))) 1.0 else 0.0
-      }
+      val b = rhs(feats, x)
       if (b.exists(_ != 0)) {
         val expect = LinAlg.solveDense(a, b)
-        for (i <- 0 until n)
+        for (i <- feats.indices)
           assert(math.abs(res.yHat(i)(x) - expect(i)) < 1e-6,
             s"column $x row $i: cg=${res.yHat(i)(x)} dense=${expect(i)}")
       }
     }
+  }
+
+  test("transfer on 80 region edges matches the dense oracle, meets the Eq.3 residual and repeats bit for bit") {
+    val rnd = new scala.util.Random(21)
+    val linked = IndexedSeq.tabulate(70) { k =>
+      val isT = k % 3 != 2
+      REdgeFeat(k, k + 1000, isT, 1.0 + rnd.nextInt(12) * 0.5 + rnd.nextDouble() * 0.2,
+        Seq(11 + rnd.nextInt(3), 22 + rnd.nextInt(3)).distinct,
+        if (isT) rnd.nextInt(3) else -1, if (isT && rnd.nextBoolean()) 1 + rnd.nextInt(6) else -1)
+    }
+    // B-edges with no neighbours: their diagonal is μ₂ alone
+    val isolated = IndexedSeq.tabulate(10)(k => REdgeFeat(2000 + k, 3000 + k, isT = false, 1e4 * (k + 1), Seq(100 + k), -1, -1))
+    val feats = linked ++ isolated
+    val amr = 0.6; val mu1 = 1.0; val mu2 = 0.01
+    assert(adjacency(spark, feats, amr).forall { case (i, j, _) => i < linked.size && j < linked.size })
+    val res = transfer(spark, feats, amr, mu1, mu2)
+    val a = denseA(feats, amr, mu1, mu2)
+    for (x <- 0 until P) {
+      val b = rhs(feats, x)
+      val expect = LinAlg.solveDense(a, b)
+      for (i <- feats.indices)
+        assert(math.abs(res.yHat(i)(x) - expect(i)) < 1e-8, s"column $x row $i: cg=${res.yHat(i)(x)} dense=${expect(i)}")
+      val r = feats.indices.map(i => feats.indices.map(j => a(i)(j) * res.yHat(j)(x)).sum - b(i))
+      val bNorm = math.sqrt(b.map(v => v * v).sum)
+      if (bNorm > 0) assert(math.sqrt(r.map(v => v * v).sum) / bNorm <= 1e-10, s"column $x")
+      assert(res.cgResidual(x) <= 1e-10 && (bNorm == 0) == (res.cgIterations(x) == 0))
+    }
+    val again = transfer(spark, feats, amr, mu1, mu2)
+    assert(res.yHat.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq ===
+      again.yHat.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq)
   }
 }
