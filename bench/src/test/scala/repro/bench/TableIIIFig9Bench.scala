@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.PreferenceTransfer
+import repro.core.{PreferenceLearning, PreferenceTransfer}
 import repro.eval.Tables
 
 /** Table III (the swept parameters) + Figure 9 (transfer accuracy).
@@ -14,10 +14,8 @@ import repro.eval.Tables
 class TableIIIFig9Bench extends SparkSpec {
 
   private def tFeats(s: repro.eval.Scenario) = {
-    val learnedMap = s.model.learned
-      .map(lp => ((math.min(lp.ri, lp.rj), math.max(lp.ri, lp.rj)), lp)).toMap
     // deterministic subsample keeps the O(n²) similarity sweep bounded
-    PreferenceTransfer.features(s.model.index, learnedMap).filter(_.isT).take(3000)
+    PreferenceTransfer.features(s.model.index, PreferenceLearning.byKey(s.model.learned)).filter(_.isT).take(3000)
   }
 
   test("Table III / Fig 9: transfer parameter study (D2-lite)") {

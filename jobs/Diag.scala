@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.core.PreferenceLearning
 import repro.eval.{PathSim, Scenario}
 import repro.roadnet.{Preference, RoadNetGen}
 import repro.traj.TrajectoryGen
@@ -10,8 +11,6 @@ import repro.traj.TrajectoryGen
   */
 object Diag {
 
-  def prefOf(sp: repro.traj.TripSpec): (Int, Int) = (sp.masterId, sp.slaveRt)
-
   def analyse(spark: SparkSession, name: String,
               mk: Double => (RoadNetGen.Config, TrajectoryGen.Config, Seq[Double]),
               scale: Double): Unit = {
@@ -20,8 +19,7 @@ object Diag {
     val net = sc.net
     val (_, specs) = TrajectoryGen.specs(net, trajCfg)
     val specOf = specs.map(s => s.id -> s).toMap
-    val learnedMap = sc.model.learned
-      .map(lp => ((math.min(lp.ri, lp.rj), math.max(lp.ri, lp.rj)), lp)).toMap
+    val learnedMap = PreferenceLearning.byKey(sc.model.learned)
     val vr = sc.model.index.vertexRegion
     val router = sc.model.router(net)
 
@@ -29,7 +27,7 @@ object Diag {
     var simDirectMatch = 0.0; var simDirectMiss = 0.0; var missN = 0
     var simMulti = 0.0
     val regionPathLens = scala.collection.mutable.ArrayBuffer.empty[Int]
-    val missByClass = scala.collection.mutable.Map.empty[(Int, Int), scala.collection.mutable.ArrayBuffer[Double]]
+    val missByClass = scala.collection.mutable.Map.empty[Option[Preference], scala.collection.mutable.ArrayBuffer[Double]]
     val missSims = scala.collection.mutable.ArrayBuffer.empty[Double]
     sc.test.foreach { t =>
       val s = t.path.head; val d = t.path.last
@@ -41,12 +39,11 @@ object Diag {
           if (sc.model.index.edges.contains(key)) {
             direct += 1
             val lp = learnedMap.get(key)
-            val m = lp.exists(l => l.masterId == sp.masterId && l.slaveRt == sp.slaveRt)
+            val m = lp.exists(l => sp.pref.contains(l.pref))
             if (m) { directMatch += 1; simDirectMatch += sim }
             else {
               simDirectMiss += sim; missN += 1; missSims += sim
-              missByClass.getOrElseUpdate((sp.masterId, sp.slaveRt),
-                scala.collection.mutable.ArrayBuffer.empty) += sim
+              missByClass.getOrElseUpdate(sp.pref, scala.collection.mutable.ArrayBuffer.empty) += sim
             }
           } else {
             multi += 1; simMulti += sim
@@ -66,16 +63,16 @@ object Diag {
       val s = missSims.sorted
       println(f"miss sims: p10=${s((s.size - 1) / 10)}%.2f p50=${s(s.size / 2)}%.2f p90=${s((s.size * 9) / 10)}%.2f frac>0.9=${s.count(_ > 0.9).toDouble / s.size}%.2f")
       println("miss by spec class: " + missByClass.toSeq.sortBy(-_._2.size).take(8).map { case (k, xs) =>
-        f"(m${k._1},s${k._2}): n=${xs.size} avg=${xs.sum / xs.size}%.2f"
+        f"${k.mkString}: n=${xs.size} avg=${xs.sum / xs.size}%.2f"
       }.mkString("  "))
     }
 
     // learned preference distribution vs the spec preference distribution
-    def hist(ps: Seq[(Int, Int)]): String =
+    def hist(ps: Seq[Option[Preference]]): String =
       ps.groupBy(identity).view.mapValues(_.size).toSeq.sortBy(-_._2).take(8)
-        .map { case ((m, sl), n) => s"(m$m,s$sl)=$n" }.mkString(" ")
-    println("learned prefs:  " + hist(sc.model.learned.map(lp => (lp.masterId, lp.slaveRt))))
-    println("spec prefs:     " + hist(specs.map(prefOf)))
+        .map { case (p, n) => s"${p.mkString}=$n" }.mkString(" ")
+    println("learned prefs:  " + hist(sc.model.learned.map(lp => Some(lp.pref))))
+    println("spec prefs:     " + hist(specs.map(_.pref)))
     // fragment lengths of T-edge path sets
     val fragLens = sc.model.index.edges.values.filter(_.isT).flatMap(_.paths.map(_.verts.length)).toSeq
     println(s"T-edge fragment vertex counts: p50=${fragLens.sorted.apply(fragLens.size / 2)} " +
@@ -89,9 +86,9 @@ object Diag {
         case (Some(rs), Some(rd)) if rs != rd =>
           val key = (math.min(rs, rd), math.max(rs, rd))
           learnedMap.get(key).foreach { lp =>
-            if (!(lp.masterId == sp.masterId && lp.slaveRt == sp.slaveRt)) {
+            if (!sp.pref.contains(lp.pref)) {
               val e = sc.model.index.edges(key)
-              println(f"  miss: spec=(m${sp.masterId},s${sp.slaveRt}) learned=(m${lp.masterId},s${lp.slaveRt}) " +
+              println(f"  miss: spec=${sp.pref.mkString} learned=${lp.pref} " +
                 f"avgSim=${lp.avgSim}%.2f nPaths=${e.paths.size} counts=${e.paths.map(_.count).mkString(",")} " +
                 s"fragLens=${e.paths.map(_.verts.length).mkString(",")}")
               shown += 1

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.PreferenceTransfer
+import repro.core.{PreferenceLearning, PreferenceTransfer}
 import repro.eval.{Scenario, Tables}
 
 /** Shared session/scenario plumbing for the spark-submit entrypoints.
@@ -54,9 +54,8 @@ object Fig9Transfer {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("fig9")
     Jobs.scenarios(spark, Jobs.scale(args)).foreach { s =>
-      val learnedMap = s.model.learned
-        .map(lp => ((math.min(lp.ri, lp.rj), math.max(lp.ri, lp.rj)), lp)).toMap
-      val tFeats = PreferenceTransfer.features(s.model.index, learnedMap).filter(_.isT)
+      val learned = PreferenceLearning.byKey(s.model.learned)
+      val tFeats = PreferenceTransfer.features(s.model.index, learned).filter(_.isT)
       val (_, _, txt) = Tables.fig9(spark, tFeats, 0.7, Seq(0.5, 0.6, 0.7, 0.8, 0.9))
       println(s"=== ${s.name} ===\n" + txt)
     }

@@ -21,14 +21,14 @@ object Baselines {
   final class Shortest(net: RoadNetwork) extends Router {
     val name = "Shortest"
     def route(driver: Int, s: Int, d: Int): Vector[Int] =
-      net.dijkstra(s, d, _.dist).getOrElse(Vector(s, d))
+      net.dijkstra(s, d, CostType.DI).getOrElse(Vector(s, d))
   }
 
   /** Dijkstra on travel time. */
   final class Fastest(net: RoadNetwork) extends Router {
     val name = "Fastest"
     def route(driver: Int, s: Int, d: Int): Vector[Int] =
-      net.dijkstra(s, d, _.tt).getOrElse(Vector(s, d))
+      net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
   }
 
   /** Simulated commercial routing service (stands in for the Google
@@ -66,7 +66,7 @@ object Dom {
         val p = t.path.toVector
         if (p.length >= 2) {
           CostType.all.foreach { c =>
-            val opt = net.dijkstra(p.head, p.last, c.of)
+            val opt = net.dijkstra(p.head, p.last, c)
             sums(c.id) += opt.map(o => PathSim.sim1(net, p, o)).getOrElse(0.0)
           }
           cnt += 1
@@ -108,7 +108,7 @@ object Dom {
       // per-query normalisation: single-cost optima put the three costs on
       // a common scale for the PQ order and the final skyline pick
       val opt = CostType.all.map { c =>
-        val o = net.dijkstra(s, d, c.of).map(p => net.pathCost(p, c.of)).getOrElse(1.0)
+        val o = net.dijkstra(s, d, c).map(p => net.pathCost(p, c.of)).getOrElse(1.0)
         math.max(1e-9, o)
       }.toArray
       def score(di: Double, tt: Double, fc: Double): Double =
@@ -141,7 +141,7 @@ object Dom {
           }
         }
       }
-      if (dstLabels.isEmpty) net.dijkstra(s, d, _.tt).getOrElse(Vector(s, d))
+      if (dstLabels.isEmpty) net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
       else {
         val best = dstLabels.minBy(l => score(l.di, l.tt, l.fc))
         val b = mutable.ArrayBuffer.empty[Int]

@@ -14,7 +14,9 @@ import repro.roadnet.{CostType, Preference, RoadNetwork}
   */
 object BEdgePaths {
 
-  /** Work item; masterId = -1 encodes a null preference (→ fastest path). */
+  /** Work item, its preference in [[Preference]]'s flat form; a null
+    * preference gets the fastest path.
+    */
   final case class BEdgeTask(ri: Int, rj: Int, masterId: Int, slaveRt: Int,
                              srcTcs: Seq[Int], dstTcs: Seq[Int])
 
@@ -35,9 +37,7 @@ object BEdgePaths {
 
   /** Route one task (runs on executors). */
   def routeTask(net: RoadNetwork, t: BEdgeTask): BEdgeResult = {
-    val pref =
-      if (t.masterId < 0) Preference(CostType.TT, None)
-      else Preference(CostType.byId(t.masterId), if (t.slaveRt < 0) None else Some(t.slaveRt))
+    val pref = Preference.fromIds(t.masterId, t.slaveRt).getOrElse(Preference(CostType.TT, None))
     val paths = (for (s <- t.srcTcs; d <- t.dstTcs if s != d) yield (s, d))
       .flatMap { case (s, d) => net.prefDijkstra(s, d, pref) }
       .filter(_.length >= 2)
@@ -56,9 +56,8 @@ object BEdgePaths {
     val bEdges = index.edges.values.filterNot(_.isT).toSeq
     val tasks = bEdges.map { e =>
       val a = index.regions(e.ri); val b = index.regions(e.rj)
-      val p = prefs.getOrElse(e.key, None)
-      BEdgeTask(e.ri, e.rj,
-        p.map(_.master.id).getOrElse(-1), p.flatMap(_.slave).getOrElse(-1),
+      val (masterId, slaveRt) = Preference.toIds(prefs.getOrElse(e.key, None))
+      BEdgeTask(e.ri, e.rj, masterId, slaveRt,
         pickTcs(net, a, b, tcsPerSide), pickTcs(net, b, a, tcsPerSide))
     }
     val bc = spark.sparkContext.broadcast(net)

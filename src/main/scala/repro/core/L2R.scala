@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.roadnet.RoadNetwork
+import repro.roadnet.{CostType, RoadNetwork}
 
 import scala.collection.mutable
 
@@ -11,35 +11,17 @@ import scala.collection.mutable
   * inner-region path (fastest path if none); different regions → a region
   * path that prefers few region edges and geometric progress toward the
   * destination region (direct region edges always win), mapped back to the
-  * road network by stitching each region edge's most popular path with
-  * short fastest-path connectors.
+  * road network by `mapRegionPath`: a stored fragment through s then d,
+  * else Algorithm 2 under the preference its region edges vote for.
   *
-  * Case 2 (an endpoint outside all regions): a fastest-path search finds the
-  * nearest region (forward from s / backward from d); the fastest sub-paths
-  * P_s / P_d arise naturally as the stitching connectors. If no region can
-  * be reached the fastest path is returned.
+  * Case 2 (an endpoint outside all regions): the first and last regions on
+  * the fastest s → d path stand in for the missing endpoint regions; with
+  * fewer than two distinct regions the fastest path is returned.
   */
 final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Serializable {
 
   private def fastest(s: Int, d: Int): Vector[Int] =
-    net.dijkstra(s, d, _.tt).getOrElse(Vector(s, d))
-
-  /** Remove revisits so the result is a simple path (stitching can touch a
-    * vertex twice; loops add nothing for a routing recommendation).
-    */
-  def removeCycles(path: Vector[Int]): Vector[Int] = {
-    val buf = mutable.ArrayBuffer.empty[Int]
-    val pos = mutable.HashMap.empty[Int, Int]
-    path.foreach { v =>
-      pos.get(v) match {
-        case Some(i) =>
-          while (buf.length > i + 1) { pos.remove(buf.last); buf.remove(buf.length - 1) }
-        case None =>
-          buf += v; pos(v) = buf.length - 1
-      }
-    }
-    buf.toVector
-  }
+    net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
 
   /** Region-graph path search: Dijkstra over region edges weighted by
     * centroid distance plus a per-hop constant, so direct edges always beat
@@ -74,19 +56,6 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     None
   }
 
-  /** The representative road path of region edge (a → b): the most popular
-    * stored path oriented in travel direction (reversed when only the
-    * opposite orientation was recorded — the network is bidirectional).
-    */
-  def representativePath(a: Int, b: Int): Option[Vector[Int]] =
-    index.edgeBetween(a, b).filter(_.paths.nonEmpty).map { e =>
-      def orientedTowardB(p: Seq[Int]): Boolean =
-        index.vertexRegion.get(p.last).contains(b) || index.vertexRegion.get(p.head).contains(a)
-      val best = e.paths.maxBy(pr => (pr.count, orientedTowardB(pr.verts), -pr.verts.length))
-      val v = best.verts.toVector
-      if (orientedTowardB(v)) v else v.reverse
-    }
-
   /** Same-region routing: the most-traversed inner path containing s before
     * d, else the fastest path.
     */
@@ -98,22 +67,6 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     }
     if (cands.nonEmpty) cands.maxBy(_._1)._2 else fastest(s, d)
   }
-
-  /** The vertex at which trajectories enter region `b` when coming from
-    * region `a`: the endpoint of the region edge's most popular path, else
-    * the transfer center (or member) of `b` nearest `a`'s centroid.
-    */
-  def entryVertex(a: Int, b: Int): Option[Int] =
-    representativePath(a, b).map(_.last).orElse {
-      index.regions.get(b).map { rb =>
-        val ra = index.regions(a)
-        val cands = if (rb.transferCenters.nonEmpty) rb.transferCenters else rb.members
-        cands.minBy { v =>
-          val vv = net.vertices(v)
-          (math.hypot(vv.x - ra.cx, vv.y - ra.cy), v)
-        }
-      }
-    }
 
   /** Map a region path back to a road path (Section VI).
     *
@@ -143,31 +96,16 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
 
     val votes = rp.sliding(2).toSeq.flatMap {
       case Seq(a, b) =>
-        index.edgeBetween(a, b).flatMap(e => e.pref.map { p =>
-          (p.master.id, p.slave.getOrElse(-1)) -> math.max(1, e.paths.map(_.count).sum)
-        })
+        index.edgeBetween(a, b).flatMap(e => e.pref.map(_ -> math.max(1, e.paths.map(_.count).sum)))
       case _ => None
     }
     if (votes.isEmpty) fastest(s, d)
     else {
-      val (m, sl) = votes.groupBy(_._1).view.mapValues(_.map(_._2).sum).toSeq
-        .maxBy { case ((mm, ss), w) => (w, -mm, -ss) }._1
-      val pref = repro.roadnet.Preference(repro.roadnet.CostType.byId(m), if (sl < 0) None else Some(sl))
-      removeCycles(net.prefDijkstra(s, d, pref).getOrElse(fastest(s, d)))
+      val pref = votes.groupMapReduce(_._1)(_._2)(_ + _)
+        .maxBy { case (p, w) => (w, -p.masterId, -p.slaveRt) }._1
+      net.prefDijkstra(s, d, pref).getOrElse(fastest(s, d))
     }
   }
-
-  /** Nearest region to s in fastest-path order (forward search). */
-  def nearestRegionFrom(s: Int): Option[Int] =
-    index.vertexRegion.get(s).orElse(
-      net.dijkstraToPredicate(s, v => index.vertexRegion.contains(v), _.tt)
-        .map { case (v, _) => index.vertexRegion(v) })
-
-  /** Nearest region to d in fastest-path order (backward search). */
-  def nearestRegionTo(d: Int): Option[Int] =
-    index.vertexRegion.get(d).orElse(
-      net.dijkstraFromPredicateTo(d, v => index.vertexRegion.contains(v), _.tt)
-        .map { case (v, _) => index.vertexRegion(v) })
 
   /** Answer a routing request; always returns a valid path s → d. */
   def route(s: Int, d: Int): Vector[Int] = {

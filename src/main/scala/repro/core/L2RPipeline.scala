@@ -59,11 +59,10 @@ object L2RPipeline {
       }.toSeq
       PreferenceLearning.learn(spark, net, tedges)
     }
-    val learnedMap = learned.map(lp => ((math.min(lp.ri, lp.rj), math.max(lp.ri, lp.rj)), lp)).toMap
 
     // Step 2: transfer preferences to B-edges
     val (transferRes, tTransfer) = timed {
-      val feats = PreferenceTransfer.features(index0, learnedMap)
+      val feats = PreferenceTransfer.features(index0, PreferenceLearning.byKey(learned))
       PreferenceTransfer.transfer(spark, feats, params.amr, params.mu1, params.mu2)
     }
 

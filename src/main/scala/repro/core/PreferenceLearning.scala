@@ -19,10 +19,15 @@ object PreferenceLearning {
     */
   final case class TEdgePaths(ri: Int, rj: Int, paths: Seq[Seq[Int]], counts: Seq[Int])
 
-  /** A learned preference; slaveRt = -1 encodes "no road-condition feature". */
+  /** A learned preference in [[Preference]]'s flat form. */
   final case class LearnedPref(ri: Int, rj: Int, masterId: Int, slaveRt: Int, avgSim: Double) {
-    def pref: Preference = Preference(CostType.byId(masterId), if (slaveRt < 0) None else Some(slaveRt))
+    def pref: Preference = Preference.fromIds(masterId, slaveRt).get
+    def key: (Int, Int) = if (ri < rj) (ri, rj) else (rj, ri)
   }
+
+  /** Learned preferences keyed by their region edge's (min, max) key. */
+  def byKey(learned: Seq[LearnedPref]): Map[(Int, Int), LearnedPref] =
+    learned.map(lp => lp.key -> lp).toMap
 
   /** Road types usable as slave features (the 6 OSM classes). */
   val slaveRts: Seq[Int] = 1 to 6
@@ -55,7 +60,7 @@ object PreferenceLearning {
     val slaveCands = for (m <- ranked.take(2).map(_._1); rt <- slaveRts)
       yield (Preference(m, Some(rt)), score(Preference(m, Some(rt))))
     val (bestSlavePref, bestSlaveScore) =
-      slaveCands.maxBy { case (p, s) => (s, -p.master.id, -p.slave.getOrElse(9)) }
+      slaveCands.maxBy { case (p, s) => (s, -p.masterId, -p.slaveRt) }
     if (bestSlaveScore > masterScore + 1e-12)
       (bestSlavePref, bestSlaveScore / totalW)
     else
@@ -76,7 +81,7 @@ object PreferenceLearning {
       .repartition(math.max(1, math.min(tedges.size, spark.sparkContext.defaultParallelism * 2)))
       .map { te =>
         val (pref, sim) = learnOne(bc.value, te.paths.zip(te.counts))
-        LearnedPref(te.ri, te.rj, pref.master.id, pref.slave.getOrElse(-1), sim)
+        LearnedPref(te.ri, te.rj, pref.masterId, pref.slaveRt, sim)
       }
       .collect().toSeq
   }

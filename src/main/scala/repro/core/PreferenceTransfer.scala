@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.roadnet.{CostType, Preference}
+import repro.roadnet.Preference
 import repro.util.LinAlg
 
 import scala.collection.mutable
@@ -28,12 +28,14 @@ import scala.collection.mutable
 object PreferenceTransfer {
 
   /** Feature description of one region edge. masterId/slaveRt carry the
-    * learned preference for T-edges (isT), and are ignored for B-edges.
+    * learned preference of a T-edge (isT) in [[Preference]]'s flat form,
+    * and are ignored for B-edges.
     * `fpairs` is re.𝔽 encoded as unordered road-type pairs (min*10+max).
     */
   final case class REdgeFeat(ri: Int, rj: Int, isT: Boolean, dis: Double,
                              fpairs: Seq[Int], masterId: Int, slaveRt: Int) {
     def key: (Int, Int) = if (ri < rj) (ri, rj) else (rj, ri)
+    def pref: Option[Preference] = Preference.fromIds(masterId, slaveRt)
   }
 
   /** Encode the Cartesian product of two top-k road-type sets. */
@@ -130,12 +132,9 @@ object PreferenceTransfer {
     */
   def decode(row: Array[Double], slaveFraction: Double = 0.25): Option[Preference] = {
     val masterId = (0 until 3).maxBy(row(_))
+    val slaveCol = (3 until P).maxBy(row(_))
     if (row(masterId) < 1e-8) None
-    else {
-      val slaveCol = (3 until P).maxBy(row(_))
-      val slave = if (row(slaveCol) >= slaveFraction * row(masterId)) Some(slaveCol - 2) else None
-      Some(Preference(CostType.byId(masterId), slave))
-    }
+    else Preference.fromIds(masterId, if (row(slaveCol) >= slaveFraction * row(masterId)) slaveCol - 2 else -1)
   }
 
   /** Run the transduction. T-edge rows of Y are one-hot in their learned
@@ -167,9 +166,7 @@ object PreferenceTransfer {
     val solveMillis = (System.nanoTime() - t0) / 1000000
 
     val prefs = feats.zipWithIndex.map { case (f, i) =>
-      f.key -> (if (f.isT) Some(Preference(CostType.byId(f.masterId),
-                                           if (f.slaveRt < 0) None else Some(f.slaveRt)))
-                else decode(yHat(i), slaveFraction))
+      f.key -> (if (f.isT) f.pref else decode(yHat(i), slaveFraction))
     }.toMap
     val bRows = feats.zipWithIndex.filterNot(_._1.isT)
     val nulls = bRows.count { case (f, i) => decode(yHat(i), slaveFraction).isEmpty }

@@ -54,16 +54,16 @@ object Evaluator {
       }
   }
 
+  /** Bucket label of a length outside (first bound, last bound]. */
+  val OutOfRange = "out of range"
+
   /** Bucket label for a ground-truth length given ascending boundaries,
-    * e.g. boundaries (0,2,5,10,35) → "(0,2]", "(2,5]", …
+    * e.g. boundaries (0,2,5,10,35) → "(0,2]", "(2,5]", …, else [[OutOfRange]].
     */
-  def bucketExpr(col0: org.apache.spark.sql.Column, bounds: Seq[Double]): org.apache.spark.sql.Column = {
-    val pairs = bounds.sliding(2).toSeq
-    pairs.foldRight(lit(s"(${bounds.init.last.toInt},${bounds.last.toInt}]")) { (p, acc) =>
-      when(col0 > p.head && col0 <= p(1), lit(s"(${fmt(p.head)},${fmt(p(1))}]")).otherwise(acc)
+  def bucketExpr(col0: org.apache.spark.sql.Column, bounds: Seq[Double]): org.apache.spark.sql.Column =
+    bounds.sliding(2).toSeq.zip(Tables.buckets(bounds)).foldRight(lit(OutOfRange)) { case ((p, label), acc) =>
+      when(col0 > p.head && col0 <= p(1), lit(label)).otherwise(acc)
     }
-  }
-  private def fmt(d: Double): String = if (d == d.toLong.toDouble) d.toLong.toString else d.toString
 
   /** Accuracy + latency per (algorithm, distance bucket). */
   def byDistance(rows: Dataset[EvalRow], bounds: Seq[Double]): DataFrame =

@@ -44,11 +44,8 @@ object TransferEval {
 
     val scores = heldOut.zipWithIndex.map { case (gt, k) =>
       val i = labelled.size + k
-      val pred = PreferenceTransfer.decode(res.yHat(i))
-      pred match {
-        case None    => 0.0
-        case Some(p) => prefJaccard(p.master.id, p.slave.getOrElse(-1), gt.masterId, gt.slaveRt)
-      }
+      PreferenceTransfer.decode(res.yHat(i))
+        .fold(0.0)(p => prefJaccard(p.masterId, p.slaveRt, gt.masterId, gt.slaveRt))
     }
     val acc = if (scores.isEmpty) 0.0 else scores.sum / scores.size
     val nulls = heldOut.zipWithIndex.count { case (_, k) =>

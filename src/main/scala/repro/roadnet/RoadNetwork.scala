@@ -2,30 +2,6 @@ package repro.roadnet
 
 import scala.collection.mutable
 
-/** A travel-cost feature a driver may minimise — the "master" dimension of a
-  * routing preference (Section V-A of the paper).
-  */
-sealed trait CostType extends Serializable {
-  /** Stable column index in the preference feature space (0..2). */
-  def id: Int
-  /** The cost of one edge under this feature. */
-  def of(e: Edge): Double
-  def name: String
-}
-
-object CostType {
-  /** Distance. */
-  case object DI extends CostType { val id = 0; def of(e: Edge): Double = e.dist; val name = "DI" }
-  /** Travel time. */
-  case object TT extends CostType { val id = 1; def of(e: Edge): Double = e.tt;   val name = "TT" }
-  /** Fuel consumption. */
-  case object FC extends CostType { val id = 2; def of(e: Edge): Double = e.fc;   val name = "FC" }
-
-  val all: Seq[CostType] = Seq(DI, TT, FC)
-
-  def byId(i: Int): CostType = all(i)
-}
-
 /** A road intersection with planar coordinates in kilometres. */
 final case class Vertex(id: Int, x: Double, y: Double)
 
@@ -38,18 +14,16 @@ final case class Vertex(id: Int, x: Double, y: Double)
   */
 final case class Edge(src: Int, dst: Int, dist: Double, tt: Double, fc: Double, rt: Int)
 
-/** A routing preference vector ⟨master, slave⟩ (Section V-A): minimise the
-  * master cost feature while preferring edges whose road type matches the
-  * optional slave feature.
+/** An edge cost for the searches; a lambda such as `_.tt` converts to it.
+  * A [[CostType]] is read from a per-edge column instead of being called,
+  * and any other cost returns its result unboxed.
   */
-final case class Preference(master: CostType, slave: Option[Int]) {
-  override def toString: String = s"⟨${master.name}, ${slave.map("TP" + _).getOrElse("-")}⟩"
-}
+trait EdgeCost { def of(e: Edge): Double }
 
 /** In-memory road network 𝒢 = (𝕍, 𝔼, 𝕎) with adjacency indexes and the
-  * search kernels every stage of the pipeline relies on: plain Dijkstra,
-  * the paper's preference-aware Dijkstra (Algorithm 2), predicate searches
-  * (used by routing Case 2), and BFS (used for B-edge construction).
+  * search kernels every stage of the pipeline relies on: plain Dijkstra and
+  * the paper's preference-aware Dijkstra (Algorithm 2), both run by one
+  * search loop, and BFS (used for B-edge construction).
   *
   * The network is broadcast to executors for the distributed fan-out
   * stages, hence [[Serializable]]. Vertex ids must be 0..n-1.
@@ -65,7 +39,7 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     buf.map(_.toArray)
   }
 
-  /** Incoming edge indices per vertex (for backward searches from d). */
+  /** Incoming edge indices per vertex. */
   val radj: Array[Array[Int]] = {
     val buf = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
     edges.zipWithIndex.foreach { case (e, i) => buf(e.dst) += i }
@@ -122,10 +96,17 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
 
   // ---------------------------------------------------------------- searches
 
+  /** Per-edge cost of each [[CostType]], by id. The one search loop serves
+    * every caller, so a cost call in it cannot be inlined; reading a column
+    * keeps the searches under a cost feature free of calls.
+    */
+  @transient private lazy val featureCost: Array[Array[Double]] = CostType.all.map(c => edges.map(c.of)).toArray
+
   private final class MinPQ {
     // Binary-heap PQ of (cost, vertex) with lazy deletion.
-    private val q = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
-    def push(c: Double, v: Int): Unit = q.enqueue((c, v))
+    private val q = mutable.PriorityQueue.empty[(Double, Int)](RoadNetwork.costFirst)
+    // addOne, not enqueue: the same sift-up without a varargs iterator
+    def push(c: Double, v: Int): Unit = q.addOne((c, v))
     def pop(): (Double, Int) = q.dequeue()
     def nonEmpty: Boolean = q.nonEmpty
   }
@@ -141,66 +122,8 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     * Returns the optimal path (inclusive of endpoints), or None if
     * unreachable. `src == dst` yields the trivial one-vertex path.
     */
-  def dijkstra(src: Int, dst: Int, cost: Edge => Double): Option[Vector[Int]] =
-    dijkstraToPredicate(src, _ == dst, cost).map(_._2)
-
-  /** Forward Dijkstra that stops at the first settled vertex satisfying
-    * `pred`; returns (foundVertex, path src→foundVertex).
-    */
-  def dijkstraToPredicate(src: Int, pred: Int => Boolean, cost: Edge => Double): Option[(Int, Vector[Int])] = {
-    val dist = Array.fill(n)(Double.PositiveInfinity)
-    val parent = Array.fill(n)(-1)
-    val done = new Array[Boolean](n)
-    val pq = new MinPQ
-    dist(src) = 0.0; pq.push(0.0, src)
-    while (pq.nonEmpty) {
-      val (c, u) = pq.pop()
-      if (!done(u)) {
-        done(u) = true
-        if (pred(u)) return Some((u, reconstruct(parent, src, u)))
-        var i = 0
-        while (i < adj(u).length) {
-          val e = edges(adj(u)(i))
-          val nc = c + cost(e)
-          if (nc < dist(e.dst)) { dist(e.dst) = nc; parent(e.dst) = u; pq.push(nc, e.dst) }
-          i += 1
-        }
-      }
-    }
-    None
-  }
-
-  /** Backward Dijkstra from `dst` over incoming edges, stopping at the first
-    * settled vertex satisfying `pred`; returns (foundVertex, path
-    * foundVertex→dst) — i.e. the path already runs in travel direction.
-    */
-  def dijkstraFromPredicateTo(dst: Int, pred: Int => Boolean, cost: Edge => Double): Option[(Int, Vector[Int])] = {
-    val dist = Array.fill(n)(Double.PositiveInfinity)
-    val child = Array.fill(n)(-1) // next hop toward dst
-    val done = new Array[Boolean](n)
-    val pq = new MinPQ
-    dist(dst) = 0.0; pq.push(0.0, dst)
-    while (pq.nonEmpty) {
-      val (c, u) = pq.pop()
-      if (!done(u)) {
-        done(u) = true
-        if (pred(u)) {
-          val b = mutable.ArrayBuffer[Int](u)
-          var v = u
-          while (v != dst) { v = child(v); b += v }
-          return Some((u, b.toVector))
-        }
-        var i = 0
-        while (i < radj(u).length) {
-          val e = edges(radj(u)(i))
-          val nc = c + cost(e)
-          if (nc < dist(e.src)) { dist(e.src) = nc; child(e.src) = u; pq.push(nc, e.src) }
-          i += 1
-        }
-      }
-    }
-    None
-  }
+  def dijkstra(src: Int, dst: Int, cost: EdgeCost): Option[Vector[Int]] =
+    search(src, dst, cost, -1)
 
   /** The paper's Algorithm 2: Dijkstra under the master cost where, when a
     * vertex has at least one outgoing edge whose road type satisfies the
@@ -210,40 +133,44 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     * we fall back to the plain master-cost Dijkstra in that case (the paper
     * does not discuss it; the fallback keeps routing total).
     */
-  def prefDijkstra(src: Int, dst: Int, pref: Preference): Option[Vector[Int]] = pref.slave match {
-    case None => dijkstra(src, dst, pref.master.of)
-    case Some(rt) =>
-      val cost: Edge => Double = pref.master.of
-      val dist = Array.fill(n)(Double.PositiveInfinity)
-      val parent = Array.fill(n)(-1)
-      val done = new Array[Boolean](n)
-      val pq = new MinPQ
-      dist(src) = 0.0; pq.push(0.0, src)
-      var found = false
-      while (pq.nonEmpty && !found) {
-        val (c, u) = pq.pop()
-        if (!done(u)) {
-          done(u) = true
-          if (u == dst) found = true
-          else {
-            val out = adj(u)
-            var anySat = false
-            var i = 0
-            while (i < out.length && !anySat) { if (edges(out(i)).rt == rt) anySat = true; i += 1 }
-            i = 0
-            while (i < out.length) {
-              val e = edges(out(i))
-              if (!anySat || e.rt == rt) {
-                val nc = c + cost(e)
-                if (nc < dist(e.dst)) { dist(e.dst) = nc; parent(e.dst) = u; pq.push(nc, e.dst) }
-              }
-              i += 1
-            }
+  def prefDijkstra(src: Int, dst: Int, pref: Preference): Option[Vector[Int]] = {
+    val path = search(src, dst, pref.master, pref.slaveRt)
+    if (path.isEmpty && pref.slave.isDefined) search(src, dst, pref.master, -1) else path
+  }
+
+  /** The one search loop: Dijkstra from `src` to `dst`, restricted by
+    * Algorithm 2's slave rule unless `slaveRt` is -1. Costs are
+    * non-negative and relaxation is strict, so a vertex's parent is settled
+    * before it and the returned path is simple.
+    */
+  private def search(src: Int, dst: Int, cost: EdgeCost, slaveRt: Int): Option[Vector[Int]] = {
+    val column = cost match { case c: CostType => featureCost(c.id); case _ => null }
+    val dist = Array.fill(n)(Double.PositiveInfinity)
+    val parent = Array.fill(n)(-1)
+    val done = new Array[Boolean](n)
+    val pq = new MinPQ
+    dist(src) = 0.0; pq.push(0.0, src)
+    while (pq.nonEmpty) {
+      val (c, u) = pq.pop()
+      if (!done(u)) {
+        done(u) = true
+        if (u == dst) return Some(reconstruct(parent, src, dst))
+        val out = adj(u)
+        var anySat = false
+        var i = 0
+        while (slaveRt >= 0 && i < out.length && !anySat) { if (edges(out(i)).rt == slaveRt) anySat = true; i += 1 }
+        i = 0
+        while (i < out.length) {
+          val e = edges(out(i))
+          if (!anySat || e.rt == slaveRt) {
+            val nc = c + (if (column != null) column(out(i)) else cost.of(e))
+            if (nc < dist(e.dst)) { dist(e.dst) = nc; parent(e.dst) = u; pq.push(nc, e.dst) }
           }
+          i += 1
         }
       }
-      if (found) Some(reconstruct(parent, src, dst))
-      else dijkstra(src, dst, cost)
+    }
+    None
   }
 
   /** Multi-source BFS over the undirected topology starting from `sources`,
@@ -283,5 +210,23 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
       }
     }
     out.toSet
+  }
+}
+
+object RoadNetwork {
+
+  /** `Ordering.by[(Double, Int), Double](_._1).reverse`, method for method,
+    * so the heap keeps its order. It avoids the library's shared
+    * `Ordering.by` class, whose inner compare every `Ordering.by` in the JVM
+    * profiles: once other users reach it, the JIT no longer inlines it, and
+    * each compare boxes both costs.
+    */
+  private val costFirst: Ordering[(Double, Int)] = new Ordering[(Double, Int)] {
+    def compare(a: (Double, Int), b: (Double, Int)): Int = java.lang.Double.compare(b._1, a._1)
+    override def lt(a: (Double, Int), b: (Double, Int)): Boolean = b._1 < a._1
+    override def lteq(a: (Double, Int), b: (Double, Int)): Boolean = b._1 <= a._1
+    override def gt(a: (Double, Int), b: (Double, Int)): Boolean = b._1 > a._1
+    override def gteq(a: (Double, Int), b: (Double, Int)): Boolean = b._1 >= a._1
+    override def equiv(a: (Double, Int), b: (Double, Int)): Boolean = b._1 == a._1
   }
 }

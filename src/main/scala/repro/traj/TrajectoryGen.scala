@@ -11,10 +11,13 @@ import repro.roadnet._
 final case class Trip(id: Long, driver: Int, path: Seq[Int], ttActual: Double)
 
 /** A trip blueprint: everything needed to route it deterministically on an
-  * executor holding the broadcast road network.
+  * executor holding the broadcast road network. The preference is in
+  * [[Preference]]'s flat form.
   */
 final case class TripSpec(id: Long, driver: Int, src: Int, dst: Int,
-                          masterId: Int, slaveRt: Int, ttFactor: Double)
+                          masterId: Int, slaveRt: Int, ttFactor: Double) {
+  def pref: Option[Preference] = Preference.fromIds(masterId, slaveRt)
+}
 
 /** A demand hot-spot: trips start/end near zone centres with Zipf-skewed
   * popularity, which produces the paper's central premise — trajectory sets
@@ -67,7 +70,7 @@ object TrajectoryGen {
     val h = mix(seed * 31 + zs * 1009 + zd)
     val master =
       if (centroidDistKm > longDistKm) CostType.TT
-      else CostType.byId(((h & 0x7fffffffL) % 3).toInt)
+      else CostType.all(((h & 0x7fffffffL) % 3).toInt)
     val h2 = mix(h)
     // ~40% of zone pairs prefer an arterial class; long trips lean on
     // motorway/trunk, short trips on trunk/primary (dense enough that the
@@ -84,7 +87,7 @@ object TrajectoryGen {
   /** A driver's personal preference (used on override trips). */
   def driverPref(driver: Int, seed: Long): Preference = {
     val h = mix(seed * 77 + driver)
-    Preference(CostType.byId(((h & 0x7fffffffL) % 3).toInt), None)
+    Preference(CostType.all(((h & 0x7fffffffL) % 3).toInt), None)
   }
 
   /** Place `nZones` spread-out zones; members are vertices within the
@@ -153,7 +156,7 @@ object TrajectoryGen {
         // driver-specific pace × lognormal-ish noise on the observed time
         val ttFactor = (0.85 + 0.4 * unit(mix(cfg.seed + driver))) *
           math.exp(0.1 * (rnd.nextGaussian() min 3.0 max -3.0))
-        out += TripSpec(id, driver, src, dst, pref.master.id, pref.slave.getOrElse(-1), ttFactor)
+        out += TripSpec(id, driver, src, dst, pref.masterId, pref.slaveRt, ttFactor)
         id += 1
       }
     }
@@ -162,8 +165,7 @@ object TrajectoryGen {
 
   /** Route one blueprint into a trip (runs on executors). */
   def routeSpec(net: RoadNetwork, s: TripSpec): Option[Trip] = {
-    val pref = Preference(CostType.byId(s.masterId), if (s.slaveRt < 0) None else Some(s.slaveRt))
-    net.prefDijkstra(s.src, s.dst, pref).filter(_.length >= 2).map { p =>
+    s.pref.flatMap(net.prefDijkstra(s.src, s.dst, _)).filter(_.length >= 2).map { p =>
       Trip(s.id, s.driver, p, net.pathCost(p, _.tt) * s.ttFactor)
     }
   }

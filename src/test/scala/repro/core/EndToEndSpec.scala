@@ -19,7 +19,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("every T-edge received a learned preference") {
-    val learned = sc.model.learned.map(lp => (math.min(lp.ri, lp.rj), math.max(lp.ri, lp.rj))).toSet
+    val learned = PreferenceLearning.byKey(sc.model.learned).keySet
     val tKeys = sc.model.index.edges.values.filter(_.isT).map(_.key).toSet
     assert(learned === tKeys)
   }
@@ -47,6 +47,7 @@ class EndToEndSpec extends SparkSpec {
       val p = router.route(t.path.head, t.path.last)
       assert(p.head === t.path.head && p.last === t.path.last)
       assert(sc.net.isValidPath(p), s"invalid path for ${t.path.head}→${t.path.last}")
+      assert(p.distinct.length === p.length, s"path for ${t.path.head}→${t.path.last} revisits a vertex")
     }
   }
 

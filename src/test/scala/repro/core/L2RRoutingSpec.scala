@@ -29,15 +29,6 @@ class L2RRoutingSpec extends SparkSpec {
 
   private val router = new L2RRouter(net, idx)
 
-  test("removeCycles keeps simple paths untouched") {
-    assert(router.removeCycles(Vector(1, 2, 3)) === Vector(1, 2, 3))
-  }
-
-  test("removeCycles cuts loops back to the first visit") {
-    assert(router.removeCycles(Vector(1, 2, 3, 2, 4)) === Vector(1, 2, 4))
-    assert(router.removeCycles(Vector(1, 2, 1, 2, 3)) === Vector(1, 2, 3))
-  }
-
   test("same-region routing follows the most-traversed inner path") {
     assert(router.route(0, 2) === Vector(0, 1, 2))
     assert(router.innerRoute(0, 0, 1) === Vector(0, 1))
@@ -68,11 +59,6 @@ class L2RRoutingSpec extends SparkSpec {
     // must reuse the stored paths 2-3-4-5 and 6-7-8
     assert(p.containsSlice(Vector(2, 3, 4, 5)))
     assert(p.containsSlice(Vector(6, 7, 8)))
-  }
-
-  test("representativePath orients paths in travel direction") {
-    assert(router.representativePath(0, 1).get === Vector(2, 3, 4, 5))
-    assert(router.representativePath(1, 0).get === Vector(5, 4, 3, 2))
   }
 
   test("routing from outside any region reaches the nearest region first") {
@@ -106,11 +92,5 @@ class L2RRoutingSpec extends SparkSpec {
     val empty = new RegionGraphIndex(Map.empty, Map.empty, Map.empty, Map.empty)
     val r = new L2RRouter(net, empty)
     assert(r.route(0, 9) === net.dijkstra(0, 9, _.tt).get)
-  }
-
-  test("nearestRegionFrom/To resolve in-region vertices to their own region") {
-    assert(router.nearestRegionFrom(1) === Some(0))
-    assert(router.nearestRegionTo(6) === Some(1))
-    assert(router.nearestRegionFrom(4).isDefined) // outside → some nearby region
   }
 }

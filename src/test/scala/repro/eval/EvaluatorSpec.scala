@@ -51,10 +51,10 @@ class EvaluatorSpec extends SparkSpec {
   }
 
   test("bucketExpr assigns half-open (lo,hi] buckets") {
-    val df = Seq(0.5, 2.0, 2.1, 5.0, 34.9).toDF("km")
+    val df = Seq(0.0, 0.5, 2.0, 2.1, 5.0, 34.9, 40.0).toDF("km")
       .withColumn("b", Evaluator.bucketExpr(col("km"), Seq(0, 2, 5, 10, 35)))
     val got = df.collect().map(_.getAs[String]("b")).toSeq
-    assert(got === Seq("(0,2]", "(0,2]", "(2,5]", "(2,5]", "(10,35]"))
+    assert(got === Seq(Evaluator.OutOfRange, "(0,2]", "(0,2]", "(2,5]", "(2,5]", "(10,35]", Evaluator.OutOfRange))
   }
 
   test("byDistance aggregation matches the DuckDB oracle") {

@@ -2,6 +2,8 @@ package repro.roadnet
 
 import repro.{SparkSpec, TestNets}
 
+import scala.util.Random
+
 /** Tests of the paper's Algorithm 2 (preference-aware Dijkstra). */
 class PrefDijkstraSpec extends SparkSpec {
 
@@ -82,5 +84,85 @@ class PrefDijkstraSpec extends SparkSpec {
       if (rtLen(pref) >= rtLen(plain) - 1e-9) checked += 1
     }
     assert(checked >= 18, "preference-aware routing should not reduce preferred-type usage in ≥90% of cases")
+  }
+
+  // ------------------------------------------- random small networks
+
+  /** A seeded one-way network on 2–8 vertices. Each ordered pair gets an
+    * edge independently, so many edges are one-way and sparse draws split
+    * into components. Road types are 1–3, so a slave of 4–6 never matches
+    * and many vertices lack an out-edge of a given type. Lengths are
+    * multiples of 0.1 km, so equal-cost paths are common.
+    */
+  private def randomNet(rnd: Random): RoadNetwork = {
+    val n = 2 + rnd.nextInt(7)
+    val density = 0.15 + 0.35 * rnd.nextDouble()
+    val vertices = Array.tabulate(n)(i => Vertex(i, 3 * rnd.nextDouble(), 3 * rnd.nextDouble()))
+    val edges = for (u <- 0 until n; v <- 0 until n if u != v && rnd.nextDouble() < density) yield {
+      val len = 0.1 * (1 + rnd.nextInt(20))
+      val rt = 1 + rnd.nextInt(3)
+      val speed = RoadNetGen.speedKmh(rt)
+      Edge(u, v, len, len / speed * 60.0, len * RoadNetGen.fcPerKm(speed), rt)
+    }
+    new RoadNetwork(vertices, edges.toArray)
+  }
+
+  /** Every simple path s → d, by depth-first enumeration. */
+  private def simplePaths(net: RoadNetwork, s: Int, d: Int): Seq[Vector[Int]] = {
+    def extend(p: Vector[Int]): Seq[Vector[Int]] =
+      if (p.last == d) Seq(p)
+      else net.adj(p.last).toSeq.map(net.edges(_).dst).filterNot(p.contains).flatMap(v => extend(p :+ v))
+    extend(Vector(s))
+  }
+
+  /** Algorithm 2's edge rule: at a vertex with an out-edge of road type
+    * `rt`, only such edges may be taken.
+    */
+  private def admissible(net: RoadNetwork, p: Vector[Int], rt: Int): Boolean =
+    p.sliding(2).forall {
+      case Seq(u, v) => !net.adj(u).exists(net.edges(_).rt == rt) || net.edgeBetween(u, v).exists(_.rt == rt)
+      case _         => true
+    }
+
+  private def assertSimpleRoad(net: RoadNetwork, p: Vector[Int], s: Int, d: Int): Unit = {
+    assert(p.head === s && p.last === d)
+    assert(net.isValidPath(p), s"invalid path $p")
+    assert(p.distinct.length === p.length, s"path $p revisits a vertex")
+  }
+
+  private val prefs = for (c <- CostType.all; sl <- None +: (1 to 6).map(Some(_))) yield Preference(c, sl)
+
+  test("dijkstra and prefDijkstra match brute-force oracles on random one-way networks") {
+    var fallbacks = 0; var unreachable = 0
+    for (seed <- 0 until 60) {
+      val net = randomNet(new Random(1000 + seed))
+      for (s <- 0 until net.n; d <- 0 until net.n) {
+        CostType.all.foreach { c =>
+          val expect = TestNets.bellmanFordCost(net, s, d, c.of)
+          net.dijkstra(s, d, c.of) match {
+            case Some(p) =>
+              assertSimpleRoad(net, p, s, d)
+              assert(math.abs(net.pathCost(p, c.of) - expect) < 1e-9, s"seed $seed $s→$d ${c.name}")
+            case None => assert(expect.isPosInfinity, s"seed $seed $s→$d ${c.name}")
+          }
+        }
+        val all = simplePaths(net, s, d)
+        if (all.isEmpty) unreachable += 1
+        prefs.foreach { pref =>
+          val cost = (p: Vector[Int]) => net.pathCost(p, pref.master.of)
+          val allowed = pref.slave.fold(all)(rt => all.filter(admissible(net, _, rt)))
+          if (allowed.isEmpty && all.nonEmpty) fallbacks += 1
+          val expect = (if (allowed.nonEmpty) allowed else all).map(cost).minOption
+          val got = net.prefDijkstra(s, d, pref)
+          assert(got.isDefined === expect.isDefined, s"seed $seed $s→$d $pref")
+          for (p <- got; e <- expect) {
+            assertSimpleRoad(net, p, s, d)
+            assert(math.abs(cost(p) - e) < 1e-9, s"seed $seed $s→$d $pref: $p costs ${cost(p)}, optimum $e")
+            for (rt <- pref.slave if allowed.nonEmpty) assert(admissible(net, p, rt), s"seed $seed $s→$d $pref: $p")
+          }
+        }
+      }
+    }
+    assert(fallbacks > 0 && unreachable > 0, s"fallbacks=$fallbacks unreachable=$unreachable")
   }
 }

@@ -64,20 +64,6 @@ class RoadNetworkSpec extends SparkSpec {
     }
   }
 
-  test("dijkstraToPredicate stops at the nearest matching vertex") {
-    val targets = Set(3, 4)
-    val (found, path) = line.dijkstraToPredicate(0, targets, _.dist).get
-    assert(found === 3)
-    assert(path === Vector(0, 1, 2, 3))
-  }
-
-  test("dijkstraFromPredicateTo returns a forward-direction path") {
-    val (found, path) = line.dijkstraFromPredicateTo(4, Set(1, 0), _.dist).get
-    assert(found === 1)
-    assert(path === Vector(1, 2, 3, 4))
-    assert(line.isValidPath(path))
-  }
-
   test("bfsUntil stops at (and reports) stop vertices without passing them") {
     // 0-1-2-3-4 ; stop at 2 → 3,4 unreachable
     val stops = line.bfsUntil(Seq(0), v => v == 2)
