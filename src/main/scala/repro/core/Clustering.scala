@@ -55,11 +55,9 @@ object Clustering {
     val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(_._1))
     nodes.foreach { case (id, nd) => pq.enqueue((nd.pop, id)) }
 
-    def deltaQ(a: Node, b: Node, sij: Double): Double = sij / S - a.pop * b.pop / (S * S)
-
     /** Table I merge qualification for (v_k, v_j) over edge info `ei`. */
     def checkQ(k: Node, j: Node, ei: EInfo): Boolean = {
-      if (deltaQ(k, j, ei.s) <= 0) false
+      if (modularityGain(ei.s, k.pop, j.pop, S) <= 0) false
       else (k.rt, j.rt) match {
         case (-1, -1)   => true            // simple + simple: ΔQ only
         case (-1, jrt)  => jrt == ei.rt    // v_j aggregate: v_j.RT = w_RT
@@ -141,7 +139,7 @@ object Clustering {
     regions.toSeq
   }
 
-  /** Modularity gain of merging two adjacent clusters — exposed for tests. */
+  /** Modularity gain ΔQ of merging two adjacent clusters (the merge test of `cluster`). */
   def modularityGain(sij: Double, si: Double, sj: Double, s: Double): Double =
     sij / s - si * sj / (s * s)
 

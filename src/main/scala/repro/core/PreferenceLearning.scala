@@ -67,12 +67,6 @@ object PreferenceLearning {
       (Preference(master, None), masterScore / totalW)
   }
 
-  /** Learn a preference for each path in the set individually — used for
-    * the Figure 6(a) statistic (how many T-edges have a single preference).
-    */
-  def learnPerPath(net: RoadNetwork, paths: Seq[Seq[Int]]): Seq[Preference] =
-    paths.map(p => learnOne(net, Seq(p -> 1))._1)
-
   /** Distributed learning over all T-edges. */
   def learn(spark: SparkSession, net: RoadNetwork, tedges: Seq[TEdgePaths]): Seq[LearnedPref] = {
     import spark.implicits._

@@ -1,11 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.roadnet.{Preference, RoadNetwork}
 import repro.traj.Trip
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** A road-network path attached to a region edge, with the number of
@@ -79,13 +78,14 @@ final class RegionGraphIndex(
 }
 
 /** Builds the region graph from the clustered regions and the trip set
-  * (Section IV-B): T-edge extraction / inner paths / transfer centers are
-  * distributed Dataset + Catalyst aggregations; the B-edge BFS runs on the
-  * driver over the full road network.
+  * (Section IV-B). One driver-side pass extracts every trip's region
+  * segments and keeps the most frequent T-edge paths, inner-region paths
+  * and transfer centers; the B-edge BFS runs on the driver over the full
+  * road network. A few hundred training trips are no distributed work.
   */
 object RegionGraph {
 
-  /** Extraction rows (primitive fields only, for Dataset encoders).
+  /** Extraction rows of one trip.
     *
     * A T-edge row carries the *extended* fragment — the trajectory's
     * sub-path from entering R_i to leaving R_j. The paper's boundary
@@ -131,7 +131,7 @@ object RegionGraph {
     * inner-region sub-paths, and transfer centers.
     */
   def extract(trip: Trip, vertexRegion: Int => Int, maxSegs: Int): (Seq[TEdgeRow], Seq[InnerRow], Seq[TcRow]) = {
-    val arr = trip.path.toIndexedSeq
+    val arr = ArraySeq.unsafeWrapArray(trip.path.toArray) // unboxed, and so is every row's slice
     val segs = segments(arr, vertexRegion).take(maxSegs)
     val t = mutable.ArrayBuffer.empty[TEdgeRow]
     for (i <- segs.indices; j <- (i + 1) until segs.length) {
@@ -144,47 +144,6 @@ object RegionGraph {
     val tc = segs.flatMap { case (r, s, e) => Seq(TcRow(r, arr(s)), TcRow(r, arr(e))) }.distinct
     (t.toSeq, inner, tc)
   }
-
-  /** T-edges with their top paths by trajectory count — Catalyst window
-    * aggregation over the distributed extraction rows.
-    */
-  def tEdgePaths(spark: SparkSession, rows: Dataset[TEdgeRow], topN: Int): Map[(Int, Int), Seq[PathRec]] = {
-    val w = Window.partitionBy("u", "v").orderBy(col("cnt").desc, size(col("path")).desc, col("path"))
-    val top = rows.toDF()
-      .select(least(col("ri"), col("rj")).as("u"), greatest(col("ri"), col("rj")).as("v"),
-              col("ri"), col("rj"), col("path"))
-      .groupBy("u", "v", "ri", "rj", "path").agg(count(lit(1)).as("cnt"))
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") <= topN)
-      .collect()
-    top.groupBy(r => (r.getAs[Int]("u"), r.getAs[Int]("v")))
-      .view.mapValues(_.toSeq.map(r => PathRec(r.getAs[scala.collection.Seq[Int]]("path").toSeq, r.getAs[Long]("cnt").toInt)))
-      .toMap
-  }
-
-  /** Top inner-region paths per region. */
-  def innerPaths(spark: SparkSession, rows: Dataset[InnerRow], topN: Int): Map[Int, Seq[PathRec]] = {
-    val w = Window.partitionBy("r").orderBy(col("cnt").desc, col("path"))
-    rows.toDF()
-      .groupBy("r", "path").agg(count(lit(1)).as("cnt"))
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") <= topN)
-      .collect()
-      .groupBy(_.getAs[Int]("r"))
-      .view.mapValues(_.toSeq.map(r => PathRec(r.getAs[scala.collection.Seq[Int]]("path").toSeq, r.getAs[Long]("cnt").toInt)))
-      .toMap
-  }
-
-  /** Most frequently used transfer centers per region. */
-  def transferCenters(spark: SparkSession, rows: Dataset[TcRow], topN: Int): Map[Int, Array[Int]] =
-    rows.toDF()
-      .groupBy("r", "v").agg(count(lit(1)).as("cnt"))
-      .withColumn("rank", row_number().over(Window.partitionBy("r").orderBy(col("cnt").desc, col("v"))))
-      .filter(col("rank") <= topN)
-      .collect()
-      .groupBy(_.getAs[Int]("r"))
-      .view.mapValues(_.map(_.getAs[Int]("v")).toArray)
-      .toMap
 
   /** Region features: centroid + top-k road types of incident edges. */
   def regionInfo(net: RoadNetwork, region: Clustering.Region, tcs: Array[Int], topK: Int): RegionInfo = {
@@ -215,35 +174,40 @@ object RegionGraph {
     found.toSeq.sorted
   }
 
-  /** Assemble the full (pre-preference) region graph. */
+  /** Assemble the full (pre-preference) region graph. Runs on the driver;
+    * `spark` is unused and kept for callers.
+    */
   def build(spark: SparkSession, net: RoadNetwork, trips: Dataset[Trip],
             regions: Seq[Clustering.Region], params: Params = Params()): RegionGraphIndex = {
-    import spark.implicits._
     val vertexRegion = Clustering.assignment(regions)
-    val bc = spark.sparkContext.broadcast(vertexRegion)
-    val maxSegs = params.maxSegmentsPerTrip
+    val rows = trips.collect().toSeq.map(extract(_, vertexRegion.getOrElse(_, -1), params.maxSegmentsPerTrip))
+    val byPath = Ordering.Implicits.seqOrdering[Seq, Int]
+    val tPaths = topN(rows.flatMap(_._1).map(r => ((r.ri min r.rj, r.ri max r.rj), r.path)),
+      params.topPathsPerTEdge, Ordering.by[Seq[Int], Int](-_.length).orElse(byPath))
+    val inner = topN(rows.flatMap(_._2).map(r => (r.r, r.path)), params.topInnerPerRegion, byPath)
+    val tcs = topN(rows.flatMap(_._3).map(r => (r.r, r.v)), params.maxTransferCenters, Ordering.Int)
 
-    val extracted = trips.map { t =>
-      val vr = bc.value
-      extract(t, v => vr.getOrElse(v, -1), maxSegs)
-    }.persist()
-
-    val tRows = extracted.flatMap(_._1)
-    val iRows = extracted.flatMap(_._2)
-    val cRows = extracted.flatMap(_._3)
-
-    val tPaths = tEdgePaths(spark, tRows, params.topPathsPerTEdge)
-    val inner = innerPaths(spark, iRows, params.topInnerPerRegion)
-    val tcs = transferCenters(spark, cRows, params.maxTransferCenters)
-    extracted.unpersist()
-
-    val infos = regions.map(r => r.id -> regionInfo(net, r, tcs.getOrElse(r.id, Array.empty), params.topKRoadTypes)).toMap
-    val tEdgeMap: Map[(Int, Int), RegionEdgeData] = tPaths.map { case ((u, v), ps) =>
-      (u, v) -> RegionEdgeData(u, v, isT = true, ps, pref = None)
-    }
+    val infos = regions.map { r =>
+      r.id -> regionInfo(net, r, tcs.getOrElse(r.id, Nil).map(_._1).toArray, params.topKRoadTypes)
+    }.toMap
+    val tEdgeMap = tPaths.map { case ((u, v), ps) => (u, v) -> RegionEdgeData(u, v, isT = true, pathRecs(ps), None) }
     val bKeys = bEdges(net, regions, vertexRegion, tEdgeMap.keySet)
     val bEdgeMap = bKeys.map { case (u, v) => (u, v) -> RegionEdgeData(u, v, isT = false, Nil, None) }.toMap
-
-    new RegionGraphIndex(infos, vertexRegion, tEdgeMap ++ bEdgeMap, inner)
+    new RegionGraphIndex(infos, vertexRegion, tEdgeMap ++ bEdgeMap, inner.view.mapValues(pathRecs).toMap)
   }
+
+  /** Counts equal (key, value) rows and keeps each key's `n` most frequent
+    * values with their counts, by count descending, then `tie`.
+    */
+  private def topN[K, V](rows: Seq[(K, V)], n: Int, tie: Ordering[V]): Map[K, Seq[(V, Int)]] = {
+    val order = Ordering.by[(V, Int), Int](-_._2).orElse(Ordering.by[(V, Int), V](_._1)(tie))
+    rows.groupBy(_._1).view.mapValues(_.groupMapReduce(_._2)(_ => 1)(_ + _).toArray.sorted(order).take(n).toSeq).toMap
+  }
+
+  /** `toList` boxes every stored path's vertices afresh, so no two stored
+    * paths share vertex objects and the serialised model does not depend on
+    * how the trips overlap.
+    */
+  private def pathRecs(ps: Seq[(Seq[Int], Int)]): Seq[PathRec] =
+    ps.map { case (p, c) => PathRec(p.toList, c) }
 }

@@ -17,13 +17,14 @@ object Tables {
 
   final case class Histo(bucket: String, n: Long, pct: Double)
 
+  /** Trips per distance bucket; trips outside the bounds get a bucket of their own. */
   def tableII(spark: SparkSession, net: RoadNetwork, trips: Seq[Trip],
               bounds: Seq[Double], label: String): (Seq[Histo], String) = {
-    val rows = Evaluator.distanceHistogram(spark, net, trips, bounds).collect()
-    val total = rows.map(_.getAs[Long]("n")).sum.toDouble
-    val order = buckets(bounds)
-    val hs = order.map { b =>
-      val n = rows.find(_.getAs[String]("bucket") == b).map(_.getAs[Long]("n")).getOrElse(0L)
+    val counts = Evaluator.distanceHistogram(spark, net, trips, bounds).collect()
+      .map(r => r.getAs[String]("bucket") -> r.getAs[Long]("n")).toMap
+    val total = counts.values.sum.toDouble
+    val hs = (buckets(bounds) ++ Seq(Evaluator.OutOfRange).filter(counts.contains)).map { b =>
+      val n = counts.getOrElse(b, 0L)
       Histo(b, n, 100.0 * n / math.max(1.0, total))
     }
     val sb = new StringBuilder

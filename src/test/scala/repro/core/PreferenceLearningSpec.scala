@@ -66,11 +66,6 @@ class PreferenceLearningSpec extends SparkSpec {
     assert(p.master === CostType.DI)
   }
 
-  test("learnPerPath yields one preference per path") {
-    val ps = pairs.take(3).map { case (s, d) => grid.dijkstra(s, d, _.tt).get: Seq[Int] }
-    assert(PreferenceLearning.learnPerPath(grid, ps).size === 3)
-  }
-
   test("distributed learn matches local learnOne") {
     val tedges = pairs.take(3).zipWithIndex.map { case ((s, d), i) =>
       val p = grid.dijkstra(s, d, _.dist).get

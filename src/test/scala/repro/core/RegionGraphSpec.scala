@@ -76,33 +76,67 @@ class RegionGraphSpec extends SparkSpec {
     assert(tRows.size === 1)
   }
 
-  test("tEdgePaths keeps the most popular paths per region pair") {
-    val rows = spark.createDataset(Seq(
-      RegionGraph.TEdgeRow(1, 2, Seq(0, 1, 2), 0, 2),
-      RegionGraph.TEdgeRow(1, 2, Seq(0, 1, 2), 0, 2),
-      RegionGraph.TEdgeRow(1, 2, Seq(0, 3, 2), 0, 2),
-      RegionGraph.TEdgeRow(2, 1, Seq(2, 1, 0), 0, 2)))
-    val m = RegionGraph.tEdgePaths(spark, rows, topN = 2)
-    val paths = m((1, 2))
-    assert(paths.size === 2)
-    assert(paths.head.verts === Seq(0, 1, 2) && paths.head.count === 2)
+  // A 5×2 ladder: rails 0—1—2—3—4 and 5—6—7—8—9 joined by rungs i—(i+5).
+  private val ladder = TestNets.custom(
+    Seq.tabulate(10)(i => ((i % 5).toDouble, (i / 5).toDouble)),
+    Seq.tabulate(4)(i => (i, i + 1, 1.0, 6)) ++ Seq.tabulate(4)(i => (i + 5, i + 6, 1.0, 6)) ++
+      Seq.tabulate(5)(i => (i, i + 5, 1.0, 6)))
+
+  /** The region graph of `paths` as trips, with region i = `regions(i)`. */
+  private def graphOf(paths: Seq[Seq[Int]], regions: Seq[Set[Int]],
+                      params: RegionGraph.Params = RegionGraph.Params()): RegionGraphIndex = {
+    val trips = paths.zipWithIndex.map { case (p, i) => Trip(i, 0, p, 1.0) }
+    RegionGraph.build(spark, ladder, spark.createDataset(trips),
+      regions.zipWithIndex.map { case (m, i) => Clustering.Region(i, m) }, params)
   }
 
-  test("innerPaths aggregates per region with counts") {
-    val rows = spark.createDataset(Seq(
-      RegionGraph.InnerRow(7, Seq(1, 2, 3)),
-      RegionGraph.InnerRow(7, Seq(1, 2, 3)),
-      RegionGraph.InnerRow(7, Seq(9, 8))))
-    val m = RegionGraph.innerPaths(spark, rows, topN = 5)
-    assert(m(7).head.verts === Seq(1, 2, 3))
-    assert(m(7).head.count === 2)
+  private val leftRight = Seq(Set(0, 5), Set(4, 9))
+  private val top = Seq(0, 1, 2, 3, 4)
+  private val bottom = Seq(5, 6, 7, 8, 9)
+
+  test("T-edge paths are ordered by trip count, both orientations under one key") {
+    val g = graphOf(Seq(bottom, top, top.reverse, top, top.reverse, top), leftRight)
+    assert(g.edges.values.filter(_.isT).map(_.key).toSeq === Seq((0, 1)))
+    val e = g.edges((0, 1))
+    assert((e.ri, e.rj) === ((0, 1)))
+    assert(e.paths === Seq(PathRec(top, 3), PathRec(top.reverse, 2), PathRec(bottom, 1)))
   }
 
-  test("transferCenters keeps the most frequent per region") {
-    val rows = spark.createDataset(
-      Seq.fill(3)(RegionGraph.TcRow(1, 10)) ++ Seq(RegionGraph.TcRow(1, 11)))
-    val m = RegionGraph.transferCenters(spark, rows, topN = 1)
-    assert(m(1).toSeq === Seq(10))
+  test("equal T-edge counts: the longer path first, then lexicographic order") {
+    val viaRungLeft = Seq(0, 5, 6, 7, 8, 9)
+    val viaRungRight = Seq(0, 1, 2, 3, 4, 9)
+    val g = graphOf(Seq(bottom, top, viaRungLeft, viaRungRight), leftRight)
+    assert(g.edges((0, 1)).paths.map(_.verts) === Seq(viaRungRight, viaRungLeft, top, bottom))
+    assert(g.edges((0, 1)).paths.map(_.count).forall(_ == 1))
+  }
+
+  test("equal inner-path counts: lexicographic, a prefix before its extension") {
+    val g = graphOf(Seq(Seq(0, 1, 2), Seq(2, 1), Seq(1, 0), Seq(0, 1), Seq(1, 0)), Seq(Set(0, 1, 2)))
+    assert(g.innerPaths(0) ===
+      Seq(PathRec(Seq(1, 0), 2), PathRec(Seq(0, 1), 1), PathRec(Seq(0, 1, 2), 1), PathRec(Seq(2, 1), 1)))
+    assert(g.edges.isEmpty)
+  }
+
+  test("transfer centers are ordered by trip count, then by vertex id") {
+    val g = graphOf(Seq(Seq(2, 3, 4), Seq(1, 2, 3, 4), Seq(0, 1, 2, 3, 4), Seq(1, 0)),
+      Seq(Set(0, 1, 2), Set(4, 9), Set(7)))
+    // vertex 2 ends three segments; 0 and 1 tie at two
+    assert(g.regions(0).transferCenters.toSeq === Seq(2, 0, 1))
+    assert(g.regions(1).transferCenters.toSeq === Seq(4))
+    assert(g.regions(2).transferCenters.isEmpty)
+  }
+
+  test("the top-N limits cut each ordered list") {
+    val paths = Seq(Seq(2, 3, 4), Seq(1, 2, 3, 4), Seq(0, 1, 2, 3, 4), Seq(1, 0))
+    val regions = Seq(Set(0, 1, 2), Set(4, 9))
+    val full = graphOf(paths, regions)
+    assert(full.edges((0, 1)).paths.map(_.verts) === Seq(Seq(0, 1, 2, 3, 4), Seq(1, 2, 3, 4), Seq(2, 3, 4)))
+    assert(full.innerPaths(0).map(_.verts) === Seq(Seq(0, 1, 2), Seq(1, 0), Seq(1, 2)))
+    val cut = graphOf(paths, regions,
+      RegionGraph.Params(topPathsPerTEdge = 2, topInnerPerRegion = 1, maxTransferCenters = 1))
+    assert(cut.edges((0, 1)).paths === full.edges((0, 1)).paths.take(2))
+    assert(cut.innerPaths(0) === full.innerPaths(0).take(1))
+    assert(cut.regions(0).transferCenters.toSeq === Seq(2))
   }
 
   test("regionInfo computes centroid and top road types") {

@@ -83,6 +83,15 @@ class EvaluatorSpec extends SparkSpec {
     assert(m === Map("(0,2]" -> 1L, "(2,5]" -> 1L, "(5,10]" -> 1L))
   }
 
+  test("Table II shows out-of-range trips in their own bucket") {
+    val (in, _) = Tables.tableII(spark, net, trips, Seq(0, 2, 5, 10), "line")
+    assert(in.map(_.bucket) === Seq("(0,2]", "(2,5]", "(5,10]"))
+    val (hs, text) = Tables.tableII(spark, net, trips, Seq(0, 2, 5), "line")
+    assert(hs.map(h => h.bucket -> h.n) === Seq("(0,2]" -> 1L, "(2,5]" -> 1L, Evaluator.OutOfRange -> 1L))
+    assert(math.abs(hs.map(_.pct).sum - 100.0) < 1e-9)
+    assert(text.contains(Evaluator.OutOfRange))
+  }
+
   test("latency is measured (non-negative micros)") {
     val rows = Evaluator.evaluate(spark, net, index, Seq(new Baselines.Fastest(net)), trips).collect()
     assert(rows.forall(_.micros >= 0))
