@@ -15,8 +15,8 @@ final case class Vertex(id: Int, x: Double, y: Double)
 final case class Edge(src: Int, dst: Int, dist: Double, tt: Double, fc: Double, rt: Int)
 
 /** An edge cost for the searches; a lambda such as `_.tt` converts to it.
-  * A [[CostType]] is read from a per-edge column instead of being called,
-  * and any other cost returns its result unboxed.
+  * Costs must be non-negative and not NaN; a search rejects any other with
+  * an [[IllegalArgumentException]].
   */
 trait EdgeCost { def of(e: Edge): Double }
 
@@ -25,12 +25,35 @@ trait EdgeCost { def of(e: Edge): Double }
   * the paper's preference-aware Dijkstra (Algorithm 2), both run by one
   * search loop, and BFS (used for B-edge construction).
   *
+  * The search loop runs on primitive arrays only:
+  *  - the graph as CSR columns (`off`, `dst`, `rt` and one cost column per
+  *    [[CostType]]) in `adj` order, so every vertex relaxes its out-edges in
+  *    the order of `adj`; any other [[EdgeCost]] is evaluated into a column
+  *    once per search;
+  *  - a 1-indexed binary heap of (cost, vertex) with lazy deletion whose
+  *    push and pop make the same comparisons as `mutable.PriorityQueue`
+  *    under reversed cost order, so equal-cost entries pop in the same order
+  *    and every path, trip and learned preference stays as it was;
+  *  - a per-thread workspace (distances, parents, epoch stamps for seen
+  *    and settled vertices, the heap) that a new epoch resets in O(1).
+  * A search rejects a cost column with a negative or NaN entry, which could
+  * otherwise re-parent a settled vertex and send path reconstruction round
+  * a cycle.
+  *
   * The network is broadcast to executors for the distributed fan-out
-  * stages, hence [[Serializable]]. Vertex ids must be 0..n-1.
+  * stages, hence [[Serializable]]; the CSR columns and workspaces are
+  * transient and rebuilt on first use. Vertex ids must be 0..n-1 and edge
+  * endpoints vertex ids; the constructor checks both.
   */
 final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) extends Serializable {
+  import RoadNetwork._
 
   val n: Int = vertices.length
+
+  require(vertices.indices.forall(i => vertices(i).id == i), "vertex ids must be 0..n-1 in array order")
+  require(edges.forall(e => e.src >= 0 && e.src < n && e.dst >= 0 && e.dst < n),
+    s"edge endpoints must be vertex ids in 0..${n - 1}")
+  require(edges.forall(e => e.rt.toByte == e.rt), "road types must fit in a byte")
 
   /** Outgoing edge indices per vertex. */
   val adj: Array[Array[Int]] = {
@@ -96,26 +119,44 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
 
   // ---------------------------------------------------------------- searches
 
-  /** Per-edge cost of each [[CostType]], by id. The one search loop serves
-    * every caller, so a cost call in it cannot be inlined; reading a column
-    * keeps the searches under a cost feature free of calls.
+  /** CSR form of `adj`: the out-edges of u are positions off(u) until
+    * off(u + 1), holding the edge's index, target and road type.
     */
-  @transient private lazy val featureCost: Array[Array[Double]] = CostType.all.map(c => edges.map(c.of)).toArray
+  @transient private lazy val off: Array[Int] = adj.scanLeft(0)(_ + _.length)
+  @transient private lazy val eid: Array[Int] = adj.flatten
+  @transient private lazy val dst: Array[Int] = eid.map(edges(_).dst)
+  @transient private lazy val rt: Array[Byte] = eid.map(edges(_).rt.toByte)
 
-  private final class MinPQ {
-    // Binary-heap PQ of (cost, vertex) with lazy deletion.
-    private val q = mutable.PriorityQueue.empty[(Double, Int)](RoadNetwork.costFirst)
-    // addOne, not enqueue: the same sift-up without a varargs iterator
-    def push(c: Double, v: Int): Unit = q.addOne((c, v))
-    def pop(): (Double, Int) = q.dequeue()
-    def nonEmpty: Boolean = q.nonEmpty
+  /** The CSR cost column of each [[CostType]], by id. */
+  @transient private lazy val featureCost: Array[Array[Double]] =
+    CostType.all.map(c => fillColumn(c, new Array[Double](edges.length))).toArray
+
+  @transient private lazy val workspace: ThreadLocal[Workspace] =
+    ThreadLocal.withInitial(() => new Workspace(n, edges.length))
+
+  /** Writes `cost` of every edge into `col` in CSR order, rejecting negative
+    * and NaN costs.
+    */
+  private def fillColumn(cost: EdgeCost, col: Array[Double]): Array[Double] = {
+    var p = 0
+    while (p < col.length) {
+      val c = cost.of(edges(eid(p)))
+      if (!(c >= 0.0)) throw new IllegalArgumentException(s"edge cost must be non-negative, got $c on ${edges(eid(p))}")
+      col(p) = c
+      p += 1
+    }
+    col
   }
 
   private def reconstruct(parent: Array[Int], src: Int, dst: Int): Vector[Int] = {
-    val b = mutable.ArrayBuffer[Int](dst)
+    var len = 1
     var v = dst
-    while (v != src) { v = parent(v); b += v }
-    b.reverseIterator.toVector
+    while (v != src) { v = parent(v); len += 1 }
+    val path = new Array[Int](len)
+    v = dst
+    var i = len - 1
+    while (i >= 0) { path(i) = v; v = parent(v); i -= 1 }
+    path.toVector
   }
 
   /** Single-source single-target Dijkstra under an arbitrary edge cost.
@@ -138,35 +179,39 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     if (path.isEmpty && pref.slave.isDefined) search(src, dst, pref.master, -1) else path
   }
 
-  /** The one search loop: Dijkstra from `src` to `dst`, restricted by
+  /** The one search loop: Dijkstra from `src` to `target`, restricted by
     * Algorithm 2's slave rule unless `slaveRt` is -1. Costs are
     * non-negative and relaxation is strict, so a vertex's parent is settled
     * before it and the returned path is simple.
     */
-  private def search(src: Int, dst: Int, cost: EdgeCost, slaveRt: Int): Option[Vector[Int]] = {
-    val column = cost match { case c: CostType => featureCost(c.id); case _ => null }
-    val dist = Array.fill(n)(Double.PositiveInfinity)
-    val parent = Array.fill(n)(-1)
-    val done = new Array[Boolean](n)
-    val pq = new MinPQ
-    dist(src) = 0.0; pq.push(0.0, src)
-    while (pq.nonEmpty) {
-      val (c, u) = pq.pop()
-      if (!done(u)) {
-        done(u) = true
-        if (u == dst) return Some(reconstruct(parent, src, dst))
-        val out = adj(u)
+  private def search(src: Int, target: Int, cost: EdgeCost, slaveRt: Int): Option[Vector[Int]] = {
+    val w = workspace.get
+    val col = cost match { case c: CostType => featureCost(c.id); case _ => fillColumn(cost, w.column) }
+    val off = this.off; val dst = this.dst; val rt = this.rt
+    val epoch = w.start()
+    val dist = w.dist; val parent = w.parent; val seen = w.seen; val settled = w.settled
+    seen(src) = epoch; dist(src) = 0.0
+    w.push(0.0, src)
+    while (w.size > 0) {
+      val c = w.minCost; val u = w.minVertex
+      w.pop()
+      if (settled(u) != epoch) {
+        settled(u) = epoch
+        if (u == target) return Some(reconstruct(parent, src, target))
+        val lo = off(u); val hi = off(u + 1)
         var anySat = false
-        var i = 0
-        while (slaveRt >= 0 && i < out.length && !anySat) { if (edges(out(i)).rt == slaveRt) anySat = true; i += 1 }
-        i = 0
-        while (i < out.length) {
-          val e = edges(out(i))
-          if (!anySat || e.rt == slaveRt) {
-            val nc = c + (if (column != null) column(out(i)) else cost.of(e))
-            if (nc < dist(e.dst)) { dist(e.dst) = nc; parent(e.dst) = u; pq.push(nc, e.dst) }
+        var p = lo
+        while (slaveRt >= 0 && p < hi && !anySat) { if (rt(p) == slaveRt) anySat = true; p += 1 }
+        p = lo
+        while (p < hi) {
+          if (!anySat || rt(p) == slaveRt) {
+            val v = dst(p)
+            val nc = c + col(p)
+            if (nc < (if (seen(v) == epoch) dist(v) else Double.PositiveInfinity)) {
+              seen(v) = epoch; dist(v) = nc; parent(v) = u; w.push(nc, v)
+            }
           }
-          i += 1
+          p += 1
         }
       }
     }
@@ -196,37 +241,80 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     }
     stops.toSet
   }
-
-  /** Vertices reachable from `src` over the undirected topology. */
-  def reachableFrom(src: Int): Set[Int] = {
-    val seen = new Array[Boolean](n)
-    val queue = mutable.Queue(src)
-    seen(src) = true
-    val out = mutable.Set(src)
-    while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      (adj(u).map(edges(_).dst) ++ radj(u).map(edges(_).src)).foreach { v =>
-        if (!seen(v)) { seen(v) = true; out += v; queue.enqueue(v) }
-      }
-    }
-    out.toSet
-  }
 }
 
 object RoadNetwork {
 
-  /** `Ordering.by[(Double, Int), Double](_._1).reverse`, method for method,
-    * so the heap keeps its order. It avoids the library's shared
-    * `Ordering.by` class, whose inner compare every `Ordering.by` in the JVM
-    * profiles: once other users reach it, the JIT no longer inlines it, and
-    * each compare boxes both costs.
+  /** One thread's search state. `dist` and `parent` of a vertex are valid
+    * in the current search iff its `seen` stamp is the current epoch, and it
+    * is settled iff its `settled` stamp is; a new epoch so resets both in
+    * O(1). The heap holds (cost, vertex) in parallel arrays from index 1.
     */
-  private val costFirst: Ordering[(Double, Int)] = new Ordering[(Double, Int)] {
-    def compare(a: (Double, Int), b: (Double, Int)): Int = java.lang.Double.compare(b._1, a._1)
-    override def lt(a: (Double, Int), b: (Double, Int)): Boolean = b._1 < a._1
-    override def lteq(a: (Double, Int), b: (Double, Int)): Boolean = b._1 <= a._1
-    override def gt(a: (Double, Int), b: (Double, Int)): Boolean = b._1 > a._1
-    override def gteq(a: (Double, Int), b: (Double, Int)): Boolean = b._1 >= a._1
-    override def equiv(a: (Double, Int), b: (Double, Int)): Boolean = b._1 == a._1
+  private final class Workspace(n: Int, m: Int) {
+    val dist = new Array[Double](n)
+    val parent = new Array[Int](n)
+    val seen = new Array[Int](n)
+    val settled = new Array[Int](n)
+    /** The per-search column of a cost that is not a [[CostType]]. */
+    lazy val column = new Array[Double](m)
+    private var epoch = 0
+
+    private var heapCost = new Array[Double](n + 1)
+    private var heapVertex = new Array[Int](n + 1)
+    var size = 0
+
+    /** Starts a search with an empty heap and returns its epoch; clears
+      * every stamp before the epoch counter would wrap.
+      */
+    def start(): Int = {
+      if (epoch == Int.MaxValue) {
+        java.util.Arrays.fill(seen, 0); java.util.Arrays.fill(settled, 0); epoch = 0
+      }
+      epoch += 1
+      size = 0
+      epoch
+    }
+
+    def minCost: Double = heapCost(1)
+    def minVertex: Int = heapVertex(1)
+
+    /** `PriorityQueue.addOne` under reversed cost order: the new entry rises
+      * while it is strictly cheaper than its parent.
+      */
+    def push(c: Double, v: Int): Unit = {
+      size += 1
+      if (size == heapCost.length) {
+        heapCost = java.util.Arrays.copyOf(heapCost, 2 * size)
+        heapVertex = java.util.Arrays.copyOf(heapVertex, 2 * size)
+      }
+      var k = size
+      while (k > 1 && c < heapCost(k >> 1)) {
+        heapCost(k) = heapCost(k >> 1); heapVertex(k) = heapVertex(k >> 1)
+        k >>= 1
+      }
+      heapCost(k) = c; heapVertex(k) = v
+    }
+
+    /** `PriorityQueue.dequeue` under reversed cost order: the last entry
+      * moves to the root and sinks, taking the right child only when it is
+      * strictly cheaper than the left, and stopping at a child that costs at
+      * least as much as itself.
+      */
+    def pop(): Unit = {
+      val c = heapCost(size); val v = heapVertex(size)
+      size -= 1
+      var k = 1
+      var sinking = true
+      while (sinking && 2 * k <= size) {
+        var j = 2 * k
+        if (j < size && heapCost(j + 1) < heapCost(j)) j += 1
+        if (heapCost(j) >= c) sinking = false
+        else {
+          heapCost(k) = heapCost(j); heapVertex(k) = heapVertex(j)
+          k = j
+        }
+      }
+      heapCost(k) = c; heapVertex(k) = v
+    }
   }
 }

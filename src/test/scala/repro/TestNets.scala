@@ -28,6 +28,18 @@ object TestNets {
   def smallGrid(cols: Int = 12, rows: Int = 10, seed: Long = 3L): RoadNetwork =
     RoadNetGen.grid(RoadNetGen.Config(cols, rows, spacingKm = 0.3, seed = seed))
 
+  /** Vertices reachable from `src` over the undirected topology. */
+  def reachableFrom(net: RoadNetwork, src: Int): Set[Int] = {
+    val seen = scala.collection.mutable.Set(src)
+    var frontier = List(src)
+    while (frontier.nonEmpty) {
+      frontier = frontier.flatMap { u =>
+        (net.adj(u).map(net.edges(_).dst) ++ net.radj(u).map(net.edges(_).src)).filter(seen.add)
+      }
+    }
+    seen.toSet
+  }
+
   /** Brute-force lowest-cost path cost via Bellman-Ford (test oracle). */
   def bellmanFordCost(net: RoadNetwork, src: Int, dst: Int, cost: Edge => Double): Double = {
     val dist = Array.fill(net.n)(Double.PositiveInfinity)

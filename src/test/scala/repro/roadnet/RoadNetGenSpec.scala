@@ -1,6 +1,6 @@
 package repro.roadnet
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestNets}
 
 class RoadNetGenSpec extends SparkSpec {
 
@@ -36,7 +36,7 @@ class RoadNetGenSpec extends SparkSpec {
   }
 
   test("the network is connected") {
-    assert(net.reachableFrom(0).size === net.n)
+    assert(TestNets.reachableFrom(net, 0).size === net.n)
   }
 
   test("all road types are in 1..6 and all six appear") {
@@ -100,6 +100,6 @@ class RoadNetGenSpec extends SparkSpec {
 
   test("D1/D2 presets build connected networks") {
     val d2 = RoadNetGen.grid(RoadNetGen.D2.copy(cols = 24, rows = 18))
-    assert(d2.reachableFrom(0).size === d2.n)
+    assert(TestNets.reachableFrom(d2, 0).size === d2.n)
   }
 }

@@ -73,7 +73,7 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("reachableFrom covers the whole connected grid") {
-    assert(grid.reachableFrom(0).size === grid.n)
+    assert(TestNets.reachableFrom(grid, 0).size === grid.n)
   }
 
   test("euclid is a metric on vertex positions") {
