@@ -39,8 +39,9 @@ object Baselines {
   final class SimGoogle(net: RoadNetwork) extends Router {
     val name = "Google"
     private val factor = Map(1 -> 0.85, 2 -> 0.90, 3 -> 0.95, 4 -> 1.00, 5 -> 1.05, 6 -> 1.15)
+    private val cost = net.column(e => e.tt * factor(e.rt))
     def route(driver: Int, s: Int, d: Int): Vector[Int] =
-      net.dijkstra(s, d, e => e.tt * factor(e.rt)).getOrElse(Vector(s, d))
+      net.dijkstra(s, d, cost).getOrElse(Vector(s, d))
   }
 }
 
@@ -198,9 +199,16 @@ object TripRouter {
 
   final class Trip_(net: RoadNetwork, model: Model) extends Router {
     val name = "TRIP"
-    def route(driver: Int, s: Int, d: Int): Vector[Int] = {
-      val r = model.ratio.getOrElse(driver, model.default)
-      net.dijkstra(s, d, e => e.tt / math.max(0.5, r(e.rt))).getOrElse(Vector(s, d))
+    /** A driver's personalised travel times as a cost column, built on the
+      * driver's first route: one column per driver at construction would
+      * cost O(drivers × edges) before any query.
+      */
+    private final class Personal(r: Array[Double]) extends Serializable {
+      lazy val cost: EdgeCost = net.column(e => e.tt / math.max(0.5, r(e.rt)))
     }
+    private val personal = model.ratio.map { case (drv, r) => drv -> new Personal(r) }
+    private val default = new Personal(model.default)
+    def route(driver: Int, s: Int, d: Int): Vector[Int] =
+      net.dijkstra(s, d, personal.getOrElse(driver, default).cost).getOrElse(Vector(s, d))
   }
 }

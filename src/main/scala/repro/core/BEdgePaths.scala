@@ -2,6 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.roadnet.{CostType, Preference, RoadNetwork}
+import repro.util.DriverPool
+
+import scala.collection.mutable
 
 /** Step 3 of Section V: materialise concrete road-network paths for every
   * B-edge by running the preference-aware Dijkstra (Algorithm 2) between
@@ -9,18 +12,13 @@ import repro.roadnet.{CostType, Preference, RoadNetwork}
   * preference. B-edges with a null preference get fastest paths (paper,
   * Section VII-B).
   *
-  * Fan-out: one Dataset row per B-edge, routed on executors against the
-  * broadcast network.
+  * Transfer centers serve several B-edges, so the searches are grouped by
+  * (source transfer center, preference): one many-target search
+  * ([[RoadNetwork.prefDijkstraMany]]) per group, run on a pool of driver
+  * threads ([[DriverPool]]). The driver then assembles each B-edge's paths
+  * in its own pair order.
   */
 object BEdgePaths {
-
-  /** Work item, its preference in [[Preference]]'s flat form; a null
-    * preference gets the fastest path.
-    */
-  final case class BEdgeTask(ri: Int, rj: Int, masterId: Int, slaveRt: Int,
-                             srcTcs: Seq[Int], dstTcs: Seq[Int])
-
-  final case class BEdgeResult(ri: Int, rj: Int, paths: Seq[Seq[Int]])
 
   /** Pick up to `k` transfer centers of region `r`, nearest to the other
     * region's centroid; fall back to the member vertex nearest that
@@ -35,42 +33,42 @@ object BEdgePaths {
     cands.sortBy(v => (d(v), v)).take(k)
   }
 
-  /** Route one task (runs on executors). */
-  def routeTask(net: RoadNetwork, t: BEdgeTask): BEdgeResult = {
-    val pref = Preference.fromIds(t.masterId, t.slaveRt).getOrElse(Preference(CostType.TT, None))
-    val paths = (for (s <- t.srcTcs; d <- t.dstTcs if s != d) yield (s, d))
-      .flatMap { case (s, d) => net.prefDijkstra(s, d, pref) }
-      .filter(_.length >= 2)
-      .distinct
-    BEdgeResult(t.ri, t.rj, paths.map(_.toSeq))
-  }
-
   /** Materialise paths for all B-edges of the index, returning a new index
     * whose B-edges carry paths (count 0 ⇒ synthetic, not trajectory-backed)
-    * and preferences.
+    * and preferences. A B-edge's paths are those between its transfer-center
+    * pairs (s, d), s ≠ d, source-major, without repeats.
     */
   def materialise(spark: SparkSession, net: RoadNetwork, index: RegionGraphIndex,
                   prefs: Map[(Int, Int), Option[Preference]],
                   tcsPerSide: Int = 2): RegionGraphIndex = {
-    import spark.implicits._
-    val bEdges = index.edges.values.filterNot(_.isT).toSeq
-    val tasks = bEdges.map { e =>
+    val plans = index.edges.values.filterNot(_.isT).toSeq.map { e =>
       val a = index.regions(e.ri); val b = index.regions(e.rj)
-      val (masterId, slaveRt) = Preference.toIds(prefs.getOrElse(e.key, None))
-      BEdgeTask(e.ri, e.rj, masterId, slaveRt,
-        pickTcs(net, a, b, tcsPerSide), pickTcs(net, b, a, tcsPerSide))
+      val pref = prefs.getOrElse(e.key, None).getOrElse(Preference(CostType.TT, None))
+      val pairs = for (s <- pickTcs(net, a, b, tcsPerSide); d <- pickTcs(net, b, a, tcsPerSide) if s != d) yield (s, d)
+      (e.key, pref, pairs)
     }
-    val bc = spark.sparkContext.broadcast(net)
-    val results = spark.createDataset(tasks)
-      .repartition(math.max(1, math.min(tasks.size, spark.sparkContext.defaultParallelism * 2)))
-      .map(t => routeTask(bc.value, t))
-      .collect()
-      .map(r => (if (r.ri < r.rj) (r.ri, r.rj) else (r.rj, r.ri)) -> r.paths).toMap
+    // one search per (source, preference), to every target some B-edge pairs with it
+    val targets = mutable.LinkedHashMap.empty[(Int, Preference), mutable.LinkedHashSet[Int]]
+    for ((_, pref, pairs) <- plans; (s, d) <- pairs)
+      targets.getOrElseUpdate((s, pref), mutable.LinkedHashSet.empty) += d
+    val searches = targets.toIndexedSeq.map { case (sp, ds) => sp -> ds.toIndexedSeq }
+    val paths = DriverPool.map(searches, spark.sparkContext.defaultParallelism) { case ((s, pref), ds) =>
+      net.prefDijkstraMany(s, ds, pref)
+    }
+    val found = searches.zip(paths).flatMap { case (((s, pref), ds), ps) =>
+      ds.zip(ps).map { case (d, p) => (s, pref, d) -> p }
+    }.toMap
+
+    // Lists: the bytes of a serialised model depend on the Seq class, and a
+    // model's B-edge paths are Lists
+    val results = plans.map { case (key, pref, pairs) =>
+      key -> pairs.flatMap { case (s, d) => found((s, pref, d)) }
+        .filter(_.length >= 2).distinct.map(p => PathRec(p.toList, 0)).toList
+    }.toMap
 
     val newEdges = index.edges.map {
       case (k, e) if !e.isT =>
-        val paths = results.getOrElse(k, Nil).map(p => PathRec(p, 0))
-        k -> e.copy(paths = paths, pref = prefs.getOrElse(k, None))
+        k -> e.copy(paths = results(k), pref = prefs.getOrElse(k, None))
       case (k, e) =>
         k -> e.copy(pref = prefs.getOrElse(k, e.pref))
     }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.roadnet.{CostType, RoadNetwork}
+import repro.roadnet.{CostType, Preference, RoadNetwork}
 
 import scala.collection.mutable
 
@@ -19,6 +19,8 @@ import scala.collection.mutable
   * fewer than two distinct regions the fastest path is returned.
   */
 final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Serializable {
+
+  private val Fastest = Preference(CostType.TT, None)
 
   private def fastest(s: Int, d: Int): Vector[Int] =
     net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
@@ -78,10 +80,13 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     * trajectory support) and the winning preference routes s → d in one
     * go; anchoring on every intermediate region's entry vertex would
     * manufacture detours the trajectories never took. With no preference
-    * available anywhere on the path, the fastest path is returned
-    * (paper, Section VII-B: null-preference edges get fastest paths).
+    * available anywhere on the path, the fastest path `fp` is returned
+    * (paper, Section VII-B: null-preference edges get fastest paths); so
+    * is it when ⟨TT, none⟩ wins, as Algorithm 2 under that preference is
+    * the same search. Case 2 passes the fastest path it has already
+    * computed.
     */
-  private def mapRegionPath(s: Int, d: Int, rp: Seq[Int]): Vector[Int] = {
+  private def mapRegionPath(s: Int, d: Int, rp: Seq[Int], fp: => Vector[Int]): Vector[Int] = {
     // Case 1 of trajectory-based routing: if a stored trajectory fragment
     // along the region path already runs through s and then d, recommend
     // that sub-path directly (most-traversed first).
@@ -99,11 +104,11 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
         index.edgeBetween(a, b).flatMap(e => e.pref.map(_ -> math.max(1, e.paths.map(_.count).sum)))
       case _ => None
     }
-    if (votes.isEmpty) fastest(s, d)
+    if (votes.isEmpty) fp
     else {
       val pref = votes.groupMapReduce(_._1)(_._2)(_ + _)
         .maxBy { case (p, w) => (w, -p.masterId, -p.slaveRt) }._1
-      net.prefDijkstra(s, d, pref).getOrElse(fastest(s, d))
+      if (pref == Fastest) fp else net.prefDijkstra(s, d, pref).getOrElse(fp)
     }
   }
 
@@ -119,7 +124,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
       case (Some(rs), Some(rd)) =>
         // Case 1, different regions: route on the region graph
         regionPath(rs, rd) match {
-          case Some(rp) if rp.length >= 2 => mapRegionPath(s, d, rp)
+          case Some(rp) if rp.length >= 2 => mapRegionPath(s, d, rp, fastest(s, d))
           case _                          => fastest(s, d)
         }
       case _ =>
@@ -132,7 +137,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
         (rs, rd) match {
           case (Some(a), Some(b)) if a != b =>
             regionPath(a, b) match {
-              case Some(rp) if rp.length >= 2 => mapRegionPath(s, d, rp)
+              case Some(rp) if rp.length >= 2 => mapRegionPath(s, d, rp, fp)
               case _                          => fp
             }
           case _ => fp

@@ -3,14 +3,22 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.eval.PathSim
 import repro.roadnet._
+import repro.util.DriverPool
+
+import scala.collection.mutable
 
 /** Step 1 of Section V: learn one representative routing preference vector
   * V* per T-edge from its path set ℙ_ij, by coordinate descent over the
   * master (cost) dimension then the slave (road-condition) dimension —
   * exactly the paper's "efficient learning algorithm".
   *
-  * The per-T-edge work (many bounded Dijkstra runs) fans out as a Dataset
-  * map over executors holding the broadcast road network.
+  * The searches are the work. Stored paths of different T-edges often start
+  * at the same vertex, so they are grouped by head: one work item per head
+  * runs one many-target Algorithm 2 search per candidate preference
+  * ([[RoadNetwork.prefDijkstraMany]]) and scores every path that starts
+  * there. The work items run on a pool of driver threads sharing the road
+  * network ([[DriverPool]]); the driver then sums each T-edge's path scores
+  * and ranks its preferences.
   */
 object PreferenceLearning {
 
@@ -32,24 +40,58 @@ object PreferenceLearning {
   /** Road types usable as slave features (the 6 OSM classes). */
   val slaveRts: Seq[Int] = 1 to 6
 
-  /** Learn the preference explaining one weighted path set.
+  /** The preferences a path is scored under: every master with no slave
+    * or one of [[slaveRts]], at index `masterId * 7 + slaveRt` (0 for none).
+    */
+  private val candidates: IndexedSeq[Preference] =
+    for (c <- CostType.all.toIndexedSeq; sl <- None +: slaveRts.map(Some(_))) yield Preference(c, sl)
+
+  private def candidateIx(p: Preference): Int = p.masterId * 7 + p.slave.getOrElse(0)
+
+  /** The stored paths of `tedges` scored under every candidate preference:
+    * `scores(i)(k)(c)` is path k of T-edge i's count times its Eq. 1
+    * similarity to the Algorithm 2 path between its endpoints under
+    * candidate c, 0 when there is none; null for paths shorter than two
+    * vertices. One work item per head vertex, on `threads` driver threads,
+    * runs one many-target search per candidate preference.
+    */
+  private def pathScores(net: RoadNetwork, tedges: Seq[TEdgePaths], threads: Int): Array[Array[IndexedSeq[Double]]] = {
+    val paths = tedges.map(_.paths.toIndexedSeq).toIndexedSeq
+    val counts = tedges.map(_.counts.toIndexedSeq).toIndexedSeq
+    val byHead = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[(Int, Int)]]
+    for (i <- paths.indices; k <- paths(i).indices if paths(i)(k).length >= 2)
+      byHead.getOrElseUpdate(paths(i)(k).head, mutable.ArrayBuffer.empty) += ((i, k))
+    val items = byHead.toIndexedSeq
+    val scored = DriverPool.map(items, threads) { case (head, ps) =>
+      val found = candidates.map(pref => net.prefDijkstraMany(head, ps.map { case (i, k) => paths(i)(k).last }.toIndexedSeq, pref))
+      ps.indices.map { j =>
+        val (i, k) = ps(j)
+        val sim1 = new PathSim.Sim1(net, paths(i)(k))
+        found.map(_(j).map(cp => counts(i)(k) * sim1(cp)).getOrElse(0.0))
+      }
+    }
+    val out = paths.map(ps => new Array[IndexedSeq[Double]](ps.size)).toArray
+    for (((_, ps), ss) <- items.zip(scored); ((i, k), sc) <- ps.zip(ss)) out(i)(k) = sc
+    out
+  }
+
+  /** Learn the preference explaining one weighted path set, given its
+    * paths' candidate scores by path index.
     *
     * Coordinate descent as in the paper, but widened to the two best
     * master features: the slave dimension is searched under each, and the
     * globally best ⟨master, slave⟩ wins (a greedy master pick can lock in
     * the wrong cost feature when two masters explain the paths almost
     * equally well without a road-condition feature). A slave is kept only
-    * when it strictly improves the summed similarity.
+    * when it strictly improves the summed similarity, summed over the
+    * paths in their stored order.
     */
-  def learnOne(net: RoadNetwork, paths: Seq[(Seq[Int], Int)]): (Preference, Double) = {
-    val trips = paths.filter(_._1.length >= 2)
+  private def choose(te: TEdgePaths, scores: Array[IndexedSeq[Double]]): (Preference, Double) = {
+    val trips = te.paths.indices.filter(te.paths(_).length >= 2)
     if (trips.isEmpty) return (Preference(CostType.TT, None), 0.0)
-    val totalW = trips.map(_._2).sum.toDouble
+    val totalW = trips.map(te.counts(_)).sum.toDouble
 
-    def score(pref: Preference): Double = trips.map { case (p, w) =>
-      net.prefDijkstra(p.head, p.last, pref)
-        .map(cp => w * PathSim.sim1(net, p, cp)).getOrElse(0.0)
-    }.sum
+    def score(pref: Preference): Double = trips.map(k => scores(k)(candidateIx(pref))).sum
 
     // master dimension
     val masterScores = CostType.all.map(c => c -> score(Preference(c, None)))
@@ -67,16 +109,20 @@ object PreferenceLearning {
       (Preference(master, None), masterScore / totalW)
   }
 
-  /** Distributed learning over all T-edges. */
+  /** [[learn]] of one path set, on the calling thread. */
+  def learnOne(net: RoadNetwork, paths: Seq[(Seq[Int], Int)]): (Preference, Double) = {
+    val te = TEdgePaths(0, 0, paths.map(_._1), paths.map(_._2))
+    choose(te, pathScores(net, Seq(te), 1).head)
+  }
+
+  /** Learning over all T-edges, in their order, on `spark`'s default
+    * parallelism in driver threads.
+    */
   def learn(spark: SparkSession, net: RoadNetwork, tedges: Seq[TEdgePaths]): Seq[LearnedPref] = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(net)
-    spark.createDataset(tedges)
-      .repartition(math.max(1, math.min(tedges.size, spark.sparkContext.defaultParallelism * 2)))
-      .map { te =>
-        val (pref, sim) = learnOne(bc.value, te.paths.zip(te.counts))
-        LearnedPref(te.ri, te.rj, pref.masterId, pref.slaveRt, sim)
-      }
-      .collect().toSeq
+    val scores = pathScores(net, tedges, spark.sparkContext.defaultParallelism)
+    tedges.zip(scores).map { case (te, sc) =>
+      val (pref, sim) = choose(te, sc)
+      LearnedPref(te.ri, te.rj, pref.masterId, pref.slaveRt, sim)
+    }
   }
 }

@@ -23,11 +23,17 @@ object PathSim {
     es.iterator.map { case (a, b) => net.lenBetween(a, b) }.sum
 
   /** Eq. 1 — shared length over ground-truth length. gt must have ≥ 1 edge. */
-  def sim1(net: RoadNetwork, gt: Seq[Int], p: Seq[Int]): Double = {
-    val gtE = edgeSet(gt)
-    if (gtE.isEmpty) return 0.0
-    val denom = totalLen(net, gtE)
-    if (denom <= 0) 0.0 else totalLen(net, gtE intersect edgeSet(p)) / denom
+  def sim1(net: RoadNetwork, gt: Seq[Int], p: Seq[Int]): Double = new Sim1(net, gt)(p)
+
+  /** Eq. 1 against one ground-truth path, whose edge set and length are
+    * computed once for scoring many candidate paths.
+    */
+  final class Sim1(net: RoadNetwork, gt: Seq[Int]) {
+    private val gtE = edgeSet(gt)
+    private val denom = if (gtE.isEmpty) 0.0 else totalLen(net, gtE)
+
+    def apply(p: Seq[Int]): Double =
+      if (denom <= 0) 0.0 else totalLen(net, gtE intersect edgeSet(p)) / denom
   }
 
   /** Eq. 4 — shared length over union length. */

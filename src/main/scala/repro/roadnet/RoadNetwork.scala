@@ -1,5 +1,6 @@
 package repro.roadnet
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** A road intersection with planar coordinates in kilometres. */
@@ -20,22 +21,42 @@ final case class Edge(src: Int, dst: Int, dist: Double, tt: Double, fc: Double, 
   */
 trait EdgeCost { def of(e: Edge): Double }
 
+/** An [[EdgeCost]] evaluated once into a CSR cost column of the network
+  * that built it ([[RoadNetwork.column]]); that network's searches read the
+  * column directly, as they read a [[CostType]]'s.
+  */
+final class CostColumn private[roadnet] (owner: RoadNetwork, private[roadnet] val values: Array[Double])
+    extends EdgeCost with Serializable {
+  private[roadnet] def ownedBy(net: RoadNetwork): Boolean = net eq owner
+  def of(e: Edge): Double = values(owner.csrPosition(e))
+}
+
 /** In-memory road network 𝒢 = (𝕍, 𝔼, 𝕎) with adjacency indexes and the
   * search kernels every stage of the pipeline relies on: plain Dijkstra and
-  * the paper's preference-aware Dijkstra (Algorithm 2), both run by one
-  * search loop, and BFS (used for B-edge construction).
+  * the paper's preference-aware Dijkstra (Algorithm 2), to one target or to
+  * many, all run by one search loop, and BFS (used for B-edge
+  * construction).
+  *
+  * A search from one source to many targets stops once every target is
+  * settled. Costs are non-negative and relaxation is strict, so a settled
+  * vertex's parent never changes (the shortest-path-tree property of
+  * Dijkstra 1959): each target's path is the one a single-target search
+  * returns, whose loop settles the same vertices in the same order up to
+  * that target.
   *
   * The search loop runs on primitive arrays only:
   *  - the graph as CSR columns (`off`, `dst`, `rt` and one cost column per
   *    [[CostType]]) in `adj` order, so every vertex relaxes its out-edges in
-  *    the order of `adj`; any other [[EdgeCost]] is evaluated into a column
-  *    once per search;
+  *    the order of `adj`; a [[CostColumn]] built by [[column]] is read as
+  *    it is, and any other [[EdgeCost]] is evaluated into a column once per
+  *    search;
   *  - a 1-indexed binary heap of (cost, vertex) with lazy deletion whose
   *    push and pop make the same comparisons as `mutable.PriorityQueue`
   *    under reversed cost order, so equal-cost entries pop in the same order
   *    and every path, trip and learned preference stays as it was;
   *  - a per-thread workspace (distances, parents, epoch stamps for seen
-  *    and settled vertices, the heap) that a new epoch resets in O(1).
+  *    and settled vertices and for targets, the heap) that a new epoch
+  *    resets in O(1).
   * A search rejects a cost column with a negative or NaN entry, which could
   * otherwise re-parent a settled vertex and send path reconstruction round
   * a cycle.
@@ -134,6 +155,18 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
   @transient private lazy val workspace: ThreadLocal[Workspace] =
     ThreadLocal.withInitial(() => new Workspace(n, edges.length))
 
+  /** `cost` evaluated once into a cost column of this network, for a cost
+    * that many searches share; rejects negative and NaN costs now.
+    */
+  def column(cost: EdgeCost): CostColumn = new CostColumn(this, fillColumn(cost, new Array[Double](edges.length)))
+
+  /** The CSR position of edge `e`, an edge of this network. */
+  private[roadnet] def csrPosition(e: Edge): Int = {
+    val k = adj(e.src).indexWhere(edges(_) == e)
+    require(k >= 0, s"$e is not an edge of this network")
+    off(e.src) + k
+  }
+
   /** Writes `cost` of every edge into `col` in CSR order, rejecting negative
     * and NaN costs.
     */
@@ -164,7 +197,7 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     * unreachable. `src == dst` yields the trivial one-vertex path.
     */
   def dijkstra(src: Int, dst: Int, cost: EdgeCost): Option[Vector[Int]] =
-    search(src, dst, cost, -1)
+    search(src, Array(dst), cost, -1)(0)
 
   /** The paper's Algorithm 2: Dijkstra under the master cost where, when a
     * vertex has at least one outgoing edge whose road type satisfies the
@@ -174,48 +207,78 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     * we fall back to the plain master-cost Dijkstra in that case (the paper
     * does not discuss it; the fallback keeps routing total).
     */
-  def prefDijkstra(src: Int, dst: Int, pref: Preference): Option[Vector[Int]] = {
-    val path = search(src, dst, pref.master, pref.slaveRt)
-    if (path.isEmpty && pref.slave.isDefined) search(src, dst, pref.master, -1) else path
+  def prefDijkstra(src: Int, dst: Int, pref: Preference): Option[Vector[Int]] =
+    prefSearch(src, Array(dst), pref)(0)
+
+  /** [[prefDijkstra]] from `src` to every vertex of `targets`, in one search
+    * that stops once all targets are settled: one path per target, in
+    * target order, each equal to `prefDijkstra(src, target, pref)`. Targets
+    * may repeat and may include `src`. The slave-rule fallback is one
+    * master-cost search for the targets the restricted search missed.
+    */
+  def prefDijkstraMany(src: Int, targets: IndexedSeq[Int], pref: Preference): IndexedSeq[Option[Vector[Int]]] =
+    ArraySeq.unsafeWrapArray(prefSearch(src, targets.toArray, pref))
+
+  private def prefSearch(src: Int, targets: Array[Int], pref: Preference): Array[Option[Vector[Int]]] = {
+    val paths = search(src, targets, pref.master, pref.slaveRt)
+    if (pref.slave.isDefined) {
+      val missed = paths.indices.filter(paths(_).isEmpty).toArray
+      if (missed.nonEmpty) {
+        val found = search(src, missed.map(targets), pref.master, -1)
+        missed.indices.foreach(i => paths(missed(i)) = found(i))
+      }
+    }
+    paths
   }
 
-  /** The one search loop: Dijkstra from `src` to `target`, restricted by
-    * Algorithm 2's slave rule unless `slaveRt` is -1. Costs are
-    * non-negative and relaxation is strict, so a vertex's parent is settled
-    * before it and the returned path is simple.
+  /** The one search loop: Dijkstra from `src` until every vertex of
+    * `targets` is settled, restricted by Algorithm 2's slave rule unless
+    * `slaveRt` is -1. Returns each target's path, or None where it was not
+    * reached. Costs are non-negative and relaxation is strict, so a
+    * vertex's parent is settled before it and never changes after, and the
+    * returned paths are simple.
     */
-  private def search(src: Int, target: Int, cost: EdgeCost, slaveRt: Int): Option[Vector[Int]] = {
+  private def search(src: Int, targets: Array[Int], cost: EdgeCost, slaveRt: Int): Array[Option[Vector[Int]]] = {
     val w = workspace.get
-    val col = cost match { case c: CostType => featureCost(c.id); case _ => fillColumn(cost, w.column) }
+    val col = cost match {
+      case c: CostType                     => featureCost(c.id)
+      case c: CostColumn if c.ownedBy(this) => c.values
+      case _                               => fillColumn(cost, w.column)
+    }
     val off = this.off; val dst = this.dst; val rt = this.rt
     val epoch = w.start()
     val dist = w.dist; val parent = w.parent; val seen = w.seen; val settled = w.settled
+    var remaining = 0
+    targets.foreach { t => if (settled(t) != -epoch) { settled(t) = -epoch; remaining += 1 } }
     seen(src) = epoch; dist(src) = 0.0
     w.push(0.0, src)
-    while (w.size > 0) {
+    while (w.size > 0 && remaining > 0) {
       val c = w.minCost; val u = w.minVertex
       w.pop()
-      if (settled(u) != epoch) {
+      val stamp = settled(u)
+      if (stamp != epoch) {
         settled(u) = epoch
-        if (u == target) return Some(reconstruct(parent, src, target))
-        val lo = off(u); val hi = off(u + 1)
-        var anySat = false
-        var p = lo
-        while (slaveRt >= 0 && p < hi && !anySat) { if (rt(p) == slaveRt) anySat = true; p += 1 }
-        p = lo
-        while (p < hi) {
-          if (!anySat || rt(p) == slaveRt) {
-            val v = dst(p)
-            val nc = c + col(p)
-            if (nc < (if (seen(v) == epoch) dist(v) else Double.PositiveInfinity)) {
-              seen(v) = epoch; dist(v) = nc; parent(v) = u; w.push(nc, v)
+        if (stamp == -epoch) remaining -= 1
+        if (remaining > 0) {
+          val lo = off(u); val hi = off(u + 1)
+          var anySat = false
+          var p = lo
+          while (slaveRt >= 0 && p < hi && !anySat) { if (rt(p) == slaveRt) anySat = true; p += 1 }
+          p = lo
+          while (p < hi) {
+            if (!anySat || rt(p) == slaveRt) {
+              val v = dst(p)
+              val nc = c + col(p)
+              if (nc < (if (seen(v) == epoch) dist(v) else Double.PositiveInfinity)) {
+                seen(v) = epoch; dist(v) = nc; parent(v) = u; w.push(nc, v)
+              }
             }
+            p += 1
           }
-          p += 1
         }
       }
     }
-    None
+    targets.map(t => if (settled(t) == epoch) Some(reconstruct(parent, src, t)) else None)
   }
 
   /** Multi-source BFS over the undirected topology starting from `sources`,
@@ -247,15 +310,17 @@ object RoadNetwork {
 
   /** One thread's search state. `dist` and `parent` of a vertex are valid
     * in the current search iff its `seen` stamp is the current epoch, and it
-    * is settled iff its `settled` stamp is; a new epoch so resets both in
-    * O(1). The heap holds (cost, vertex) in parallel arrays from index 1.
+    * is settled iff its `settled` stamp is; a target not yet settled has
+    * the negated epoch as its `settled` stamp. A new epoch so resets all of
+    * them in O(1). The heap holds (cost, vertex) in parallel arrays from
+    * index 1.
     */
   private final class Workspace(n: Int, m: Int) {
     val dist = new Array[Double](n)
     val parent = new Array[Int](n)
     val seen = new Array[Int](n)
     val settled = new Array[Int](n)
-    /** The per-search column of a cost that is not a [[CostType]]. */
+    /** The per-search column of a cost with no column of its own. */
     lazy val column = new Array[Double](m)
     private var epoch = 0
 

@@ -2,6 +2,9 @@ package repro
 
 import repro.roadnet._
 
+import scala.collection.mutable
+import scala.util.Random
+
 /** Hand-built networks for unit tests. */
 object TestNets {
 
@@ -56,5 +59,77 @@ object TestNets {
       iter += 1
     }
     dist(dst)
+  }
+
+  /** Every preference: each master with no slave or one of road types 1–6. */
+  val allPrefs: Seq[Preference] = for (c <- CostType.all; sl <- None +: (1 to 6).map(Some(_))) yield Preference(c, sl)
+
+  /** Reversed cost order with IEEE comparisons, the order of the reference
+    * search loop below.
+    */
+  val costFirst: Ordering[(Double, Int)] =
+    Ordering.by[(Double, Int), Double](_._1)(Ordering.Double.IeeeOrdering).reverse
+
+  /** A reference search loop (the kernel's before it ran on primitive
+    * arrays): `mutable.PriorityQueue` with lazy deletion, `Array.fill`
+    * state, strict relaxation and Algorithm 2's slave rule unless `slaveRt`
+    * is -1.
+    */
+  def refSearch(net: RoadNetwork, src: Int, dst: Int, cost: EdgeCost, slaveRt: Int,
+                order: Ordering[(Double, Int)] = costFirst): Option[Vector[Int]] = {
+    val dist = Array.fill(net.n)(Double.PositiveInfinity)
+    val parent = Array.fill(net.n)(-1)
+    val done = new Array[Boolean](net.n)
+    val pq = mutable.PriorityQueue.empty[(Double, Int)](order)
+    dist(src) = 0.0; pq.addOne((0.0, src))
+    while (pq.nonEmpty) {
+      val (c, u) = pq.dequeue()
+      if (!done(u)) {
+        done(u) = true
+        if (u == dst) {
+          val b = mutable.ArrayBuffer(dst)
+          var v = dst
+          while (v != src) { v = parent(v); b += v }
+          return Some(b.reverseIterator.toVector)
+        }
+        val out = net.adj(u).map(net.edges(_))
+        val anySat = slaveRt >= 0 && out.exists(_.rt == slaveRt)
+        out.foreach { e =>
+          if (!anySat || e.rt == slaveRt) {
+            val nc = c + cost.of(e)
+            if (nc < dist(e.dst)) { dist(e.dst) = nc; parent(e.dst) = u; pq.addOne((nc, e.dst)) }
+          }
+        }
+      }
+    }
+    None
+  }
+
+  /** Algorithm 2 with its master-cost fallback on the reference loop. */
+  def refPref(net: RoadNetwork, s: Int, d: Int, pref: Preference,
+              order: Ordering[(Double, Int)] = costFirst): Option[Vector[Int]] = {
+    val p = refSearch(net, s, d, pref.master, pref.slaveRt, order)
+    if (p.isEmpty && pref.slave.isDefined) refSearch(net, s, d, pref.master, -1, order) else p
+  }
+
+  /** True iff Algorithm 2's slave rule alone leaves d unreachable from s, so
+    * `prefDijkstra` answers with its fallback.
+    */
+  def needsFallback(net: RoadNetwork, s: Int, d: Int, pref: Preference): Boolean =
+    pref.slave.isDefined && refSearch(net, s, d, pref.master, pref.slaveRt).isEmpty
+
+  /** A seeded one-way network on 2–24 vertices with integer weights in
+    * 0..3, so equal-cost paths are everywhere. Each ordered pair gets an
+    * edge independently: many edges are one-way and sparse draws split into
+    * components. Road types are 1–3, so many vertices lack an out-edge of a
+    * given slave type and slaves 4–6 never match.
+    */
+  def tieNet(rnd: Random): RoadNetwork = {
+    val n = 2 + rnd.nextInt(23)
+    val density = (1.0 + 3.0 * rnd.nextDouble()) / n
+    val vertices = Array.tabulate(n)(i => Vertex(i, rnd.nextDouble(), rnd.nextDouble()))
+    val edges = for (u <- 0 until n; v <- 0 until n if u != v && rnd.nextDouble() < density)
+      yield Edge(u, v, rnd.nextInt(4), rnd.nextInt(4), rnd.nextInt(4), 1 + rnd.nextInt(3))
+    new RoadNetwork(vertices, edges.toArray)
   }
 }

@@ -21,22 +21,53 @@ class BEdgePathsSpec extends SparkSpec {
     assert(BEdgePaths.pickTcs(net, a, b, 2).nonEmpty)
   }
 
-  test("routeTask with a preference uses the preference-aware Dijkstra") {
-    val t = BEdgePaths.BEdgeTask(0, 1, CostType.DI.id, -1, Seq(0), Seq(net.n - 1))
-    val r = BEdgePaths.routeTask(net, t)
-    assert(r.paths.size === 1)
-    assert(r.paths.head === net.dijkstra(0, net.n - 1, _.dist).get)
+  /** A region of the given vertices, all of them transfer centers. */
+  private def region(id: Int, vs: Int*): RegionInfo =
+    RegionGraph.regionInfo(net, Clustering.Region(id, vs.toSet), vs.toArray, 2)
+
+  /** `materialise` of B-edges between `regions` under `prefs`. */
+  private def bPaths(regions: Seq[RegionInfo], prefs: Map[(Int, Int), Option[Preference]]): Map[(Int, Int), Seq[Seq[Int]]] = {
+    val edges = prefs.keys.map { case k @ (a, b) => k -> RegionEdgeData(a, b, isT = false, Nil, None) }.toMap
+    val idx = new RegionGraphIndex(regions.map(r => r.id -> r).toMap, Map.empty, edges, Map.empty)
+    BEdgePaths.materialise(spark, net, idx, prefs).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
   }
 
-  test("routeTask with a null preference falls back to fastest paths") {
-    val t = BEdgePaths.BEdgeTask(0, 1, -1, -1, Seq(0), Seq(net.n - 1))
-    val r = BEdgePaths.routeTask(net, t)
-    assert(r.paths.head === net.dijkstra(0, net.n - 1, _.tt).get)
+  test("materialise routes a B-edge with its preference's Algorithm 2 path") {
+    val out = bPaths(Seq(region(0, 0), region(1, net.n - 1)), Map((0, 1) -> Some(Preference(CostType.DI, None))))
+    assert(out((0, 1)) === Seq(net.dijkstra(0, net.n - 1, _.dist).get))
   }
 
-  test("routeTask skips degenerate s==d pairs") {
-    val t = BEdgePaths.BEdgeTask(0, 1, CostType.TT.id, -1, Seq(5), Seq(5))
-    assert(BEdgePaths.routeTask(net, t).paths.isEmpty)
+  test("materialise gives a B-edge with a null preference fastest paths") {
+    val out = bPaths(Seq(region(0, 0), region(1, net.n - 1)), Map((0, 1) -> None))
+    assert(out((0, 1)) === Seq(net.dijkstra(0, net.n - 1, _.tt).get))
+  }
+
+  test("materialise skips transfer-center pairs with s == d") {
+    val out = bPaths(Seq(region(0, 5), region(1, 5)), Map((0, 1) -> Some(Preference(CostType.TT, None))))
+    assert(out((0, 1)).isEmpty)
+  }
+
+  test("materialise equals per-pair prefDijkstra paths on B-edges that share transfer centers") {
+    val cols = 12
+    val regions = Seq(region(0, 0, 1, cols + 1), region(1, 10, 11, cols + 10), region(2, 9 * cols, 9 * cols + 1, 8 * cols),
+      region(3, net.n - 2, net.n - 1, 9 * cols - 1), region(4, 5 * cols + 5, 5 * cols + 6, 4 * cols + 6))
+    val keys = for (a <- 0 until 5; b <- a + 1 until 5) yield (a, b)
+    val candidates = None +: TestNets.allPrefs.map(Some(_))
+    val prefs = keys.zipWithIndex.map { case (k, i) => k -> candidates((3 * i) % candidates.size) }.toMap
+      .updated((0, 2), Some(Preference(CostType.DI, None))).updated((0, 3), Some(Preference(CostType.DI, None)))
+    val out = bPaths(regions, prefs)
+    var fallbacks = 0
+    val sources = keys.flatMap { k =>
+      val a = regions(k._1); val b = regions(k._2)
+      val pref = prefs(k).getOrElse(Preference(CostType.TT, None))
+      val pairs = for (s <- BEdgePaths.pickTcs(net, a, b, 2); d <- BEdgePaths.pickTcs(net, b, a, 2) if s != d) yield (s, d)
+      fallbacks += pairs.count { case (s, d) => TestNets.needsFallback(net, s, d, pref) }
+      val expect = pairs.flatMap { case (s, d) => net.prefDijkstra(s, d, pref) }.filter(_.length >= 2).distinct
+      assert(out(k) === expect, s"B-edge $k under $pref")
+      pairs.map { case (s, _) => (s, pref) }.distinct
+    }
+    assert(sources.size > sources.distinct.size, "no (source, preference) serves two B-edges")
+    assert(fallbacks > 0, "no pair needs the slave-rule fallback")
   }
 
   test("materialise attaches paths and preferences to every B-edge") {

@@ -93,4 +93,19 @@ class L2RRoutingSpec extends SparkSpec {
     val r = new L2RRouter(net, empty)
     assert(r.route(0, 9) === net.dijkstra(0, 9, _.tt).get)
   }
+
+  test("a region edge whose only preference is ⟨TT, none⟩ routes the fastest path") {
+    val g = TestNets.smallGrid(12, 10)
+    val (s, d) = (3, g.n - 8)
+    val fp = g.dijkstra(s, d, CostType.TT).get
+    // Case 1: s and d in the two regions; Case 2: s outside, the fastest path's second vertex in a region
+    for ((a, b) <- Seq((Set(s), Set(d)), (Set(fp(1)), Set(d)))) {
+      val rs = Seq(Clustering.Region(0, a), Clustering.Region(1, b))
+      val infos = rs.map(r => r.id -> RegionGraph.regionInfo(g, r, r.members.toArray, 2)).toMap
+      def routed(pref: Preference): Vector[Int] = new L2RRouter(g, new RegionGraphIndex(infos, Clustering.assignment(rs),
+        Map((0, 1) -> RegionEdgeData(0, 1, isT = false, Nil, Some(pref))), Map.empty)).route(s, d)
+      assert(routed(Preference(CostType.TT, None)) === fp)
+      assert(routed(Preference(CostType.DI, None)) === g.dijkstra(s, d, CostType.DI).get)
+    }
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.roadnet.{CostType, Preference}
+import repro.eval.PathSim
+import repro.roadnet.{CostType, Preference, RoadNetwork}
 import repro.{SparkSpec, TestNets}
 
 class PreferenceLearningSpec extends SparkSpec {
@@ -75,7 +76,7 @@ class PreferenceLearningSpec extends SparkSpec {
     learned.zip(tedges).foreach { case (lp, te) =>
       val (expect, sim) = PreferenceLearning.learnOne(grid, te.paths.zip(te.counts))
       assert(lp.pref === expect)
-      assert(math.abs(lp.avgSim - sim) < 1e-9)
+      assert(lp.avgSim === sim)
     }
   }
 
@@ -83,5 +84,47 @@ class PreferenceLearningSpec extends SparkSpec {
     val ps = pairs.take(4).map { case (s, d) => (grid.dijkstra(s, d, _.fc).get: Seq[Int]) -> 2 }
     val (_, sim) = PreferenceLearning.learnOne(grid, ps)
     assert(sim >= 0.0 && sim <= 1.0 + 1e-9)
+  }
+
+  /** Per-path scoring as the paper states it: one `prefDijkstra` per
+    * (path, preference), the two best masters' slaves, the same tie-breaks.
+    */
+  private def perPathLearn(net: RoadNetwork, paths: Seq[(Seq[Int], Int)]): (Preference, Double) = {
+    val trips = paths.filter(_._1.length >= 2)
+    if (trips.isEmpty) return (Preference(CostType.TT, None), 0.0)
+    val totalW = trips.map(_._2).sum.toDouble
+    def score(pref: Preference): Double = trips.map { case (p, w) =>
+      net.prefDijkstra(p.head, p.last, pref).map(cp => w * PathSim.sim1(net, p, cp)).getOrElse(0.0)
+    }.sum
+    val ranked = CostType.all.map(c => c -> score(Preference(c, None))).sortBy { case (c, s) => (-s, c.id) }
+    val (master, masterScore) = ranked.head
+    val slaveCands = for (m <- ranked.take(2).map(_._1); rt <- PreferenceLearning.slaveRts)
+      yield (Preference(m, Some(rt)), score(Preference(m, Some(rt))))
+    val (bestSlavePref, bestSlaveScore) = slaveCands.maxBy { case (p, s) => (s, -p.masterId, -p.slaveRt) }
+    if (bestSlaveScore > masterScore + 1e-12) (bestSlavePref, bestSlaveScore / totalW)
+    else (Preference(master, None), masterScore / totalW)
+  }
+
+  test("learn equals per-path prefDijkstra scoring when T-edges share heads") {
+    val r = new scala.util.Random(41)
+    val heads = Seq(0, 37, 100, grid.n - 1)
+    val prefs = TestNets.allPrefs
+    val tedges = (0 until 12).map { i =>
+      val ps = Seq.fill(1 + r.nextInt(4)) {
+        val s = heads(r.nextInt(heads.size)); val d = r.nextInt(grid.n)
+        grid.prefDijkstra(s, d, prefs(r.nextInt(prefs.size))).get
+      }
+      PreferenceLearning.TEdgePaths(i, 50 + i, ps :+ Seq(heads(i % heads.size)), ps.map(_ => 1 + r.nextInt(4)) :+ 2)
+    }
+    val stored = tedges.flatMap(_.paths).filter(_.length >= 2)
+    assert(stored.map(_.head).distinct.size < stored.size, "no two paths share a head")
+    assert(stored.exists(p => prefs.exists(TestNets.needsFallback(grid, p.head, p.last, _))), "no search needs the fallback")
+    val learned = PreferenceLearning.learn(spark, grid, tedges)
+    assert(learned.map(lp => (lp.ri, lp.rj)) === tedges.map(te => (te.ri, te.rj)))
+    learned.zip(tedges).foreach { case (lp, te) =>
+      val (expect, sim) = perPathLearn(grid, te.paths.zip(te.counts))
+      assert(lp.pref === expect, s"T-edge ${te.ri}")
+      assert(lp.avgSim === sim, s"T-edge ${te.ri}")
+    }
   }
 }

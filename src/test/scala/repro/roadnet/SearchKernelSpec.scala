@@ -1,81 +1,21 @@
 package repro.roadnet
 
 import repro.{SparkSpec, TestNets}
+import repro.TestNets.{needsFallback, refPref, refSearch, tieNet}
+
+import org.scalacheck.rng.Seed
+import org.scalacheck.{Gen, Prop, Test}
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Tests of `RoadNetwork`'s search kernel: tie-exact agreement with the
-  * library-heap loop it replaced, per-thread workspace safety, and its
-  * input checks.
+  * library-heap loop it replaced, for one target, many targets and cost
+  * columns, per-thread workspace safety, and its input checks.
   */
 class SearchKernelSpec extends SparkSpec {
 
-  // --------------------------------------------------- reference loop
-
-  /** Reversed cost order with IEEE comparisons, equal to the replaced
-    * loop's `costFirst`.
-    */
-  private val costFirst: Ordering[(Double, Int)] =
-    Ordering.by[(Double, Int), Double](_._1)(Ordering.Double.IeeeOrdering).reverse
-
-  /** The replaced search loop: `mutable.PriorityQueue` with lazy deletion,
-    * `Array.fill` state, strict relaxation and Algorithm 2's slave rule
-    * unless `slaveRt` is -1.
-    */
-  private def refSearch(net: RoadNetwork, src: Int, dst: Int, cost: EdgeCost, slaveRt: Int,
-                        order: Ordering[(Double, Int)] = costFirst): Option[Vector[Int]] = {
-    val dist = Array.fill(net.n)(Double.PositiveInfinity)
-    val parent = Array.fill(net.n)(-1)
-    val done = new Array[Boolean](net.n)
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](order)
-    dist(src) = 0.0; pq.addOne((0.0, src))
-    while (pq.nonEmpty) {
-      val (c, u) = pq.dequeue()
-      if (!done(u)) {
-        done(u) = true
-        if (u == dst) {
-          val b = mutable.ArrayBuffer(dst)
-          var v = dst
-          while (v != src) { v = parent(v); b += v }
-          return Some(b.reverseIterator.toVector)
-        }
-        val out = net.adj(u).map(net.edges(_))
-        val anySat = slaveRt >= 0 && out.exists(_.rt == slaveRt)
-        out.foreach { e =>
-          if (!anySat || e.rt == slaveRt) {
-            val nc = c + cost.of(e)
-            if (nc < dist(e.dst)) { dist(e.dst) = nc; parent(e.dst) = u; pq.addOne((nc, e.dst)) }
-          }
-        }
-      }
-    }
-    None
-  }
-
-  private def refPref(net: RoadNetwork, s: Int, d: Int, pref: Preference,
-                      order: Ordering[(Double, Int)] = costFirst): Option[Vector[Int]] = {
-    val p = refSearch(net, s, d, pref.master, pref.slaveRt, order)
-    if (p.isEmpty && pref.slave.isDefined) refSearch(net, s, d, pref.master, -1, order) else p
-  }
-
-  /** A seeded one-way network on 2–24 vertices with integer weights in
-    * 0..3, so equal-cost paths are everywhere. Each ordered pair gets an
-    * edge independently: many edges are one-way and sparse draws split into
-    * components. Road types are 1–3, so many vertices lack an out-edge of a
-    * given slave type and slaves 4–6 never match.
-    */
-  private def tieNet(rnd: Random): RoadNetwork = {
-    val n = 2 + rnd.nextInt(23)
-    val density = (1.0 + 3.0 * rnd.nextDouble()) / n
-    val vertices = Array.tabulate(n)(i => Vertex(i, rnd.nextDouble(), rnd.nextDouble()))
-    val edges = for (u <- 0 until n; v <- 0 until n if u != v && rnd.nextDouble() < density)
-      yield Edge(u, v, rnd.nextInt(4), rnd.nextInt(4), rnd.nextInt(4), 1 + rnd.nextInt(3))
-    new RoadNetwork(vertices, edges.toArray)
-  }
-
-  private val prefs = for (c <- CostType.all; sl <- None +: (1 to 6).map(Some(_))) yield Preference(c, sl)
+  private val prefs = TestNets.allPrefs
   private val lambda: EdgeCost = e => e.dist + 2 * e.tt * (e.rt % 2)
 
   test("the kernel returns the replaced loop's exact path on tie-heavy random networks") {
@@ -92,7 +32,7 @@ class SearchKernelSpec extends SparkSpec {
           val expect = refPref(net, s, d, pref)
           assert(net.prefDijkstra(s, d, pref) === expect, s"seed $seed $s→$d $pref")
           if (expect.isEmpty) unreachable += 1
-          else if (pref.slave.isDefined && refSearch(net, s, d, pref.master, pref.slaveRt).isEmpty) fallbacks += 1
+          else if (needsFallback(net, s, d, pref)) fallbacks += 1
           if (refPref(net, s, d, pref, byVertex) != expect) tieSensitive += 1
         }
         assert(net.dijkstra(s, d, lambda) === refSearch(net, s, d, lambda, -1), s"seed $seed $s→$d lambda")
@@ -100,6 +40,45 @@ class SearchKernelSpec extends SparkSpec {
     }
     assert(unreachable > 0 && fallbacks > 0, s"unreachable=$unreachable fallbacks=$fallbacks")
     assert(tieSensitive > 1000, s"only $tieSensitive searches depend on the tie order")
+  }
+
+  test("a many-target search returns each target's single-target path (scalacheck)") {
+    var duplicates = 0; var srcTargets = 0; var unreachable = 0; var fallbacks = 0
+    val cases = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      net = tieNet(new Random(seed))
+      src <- Gen.choose(0, net.n - 1)
+      targets <- Gen.nonEmptyListOf(Gen.frequency(6 -> Gen.choose(0, net.n - 1), 1 -> Gen.const(src)))
+    } yield (net, src, targets.toVector)
+    val prop = Prop.forAllNoShrink(cases) { case (net, src, targets) =>
+      if (targets.distinct.size < targets.size) duplicates += 1
+      if (targets.contains(src)) srcTargets += 1
+      prefs.forall { pref =>
+        val expect = targets.map(refPref(net, src, _, pref))
+        unreachable += expect.count(_.isEmpty)
+        fallbacks += targets.count(needsFallback(net, src, _, pref))
+        net.prefDijkstraMany(src, targets, pref) == expect
+      }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(11L)), prop)
+    assert(result.passed, result.status)
+    assert(duplicates > 0 && srcTargets > 0 && unreachable > 0 && fallbacks > 0,
+      s"duplicates=$duplicates src=$srcTargets unreachable=$unreachable fallbacks=$fallbacks")
+  }
+
+  test("a cost column returns the lambda's path on tie-heavy random networks") {
+    for (seed <- 0 until 40) {
+      val net = tieNet(new Random(7000 + seed))
+      val col = net.column(lambda)
+      net.edges.foreach(e => assert(col.of(e) === lambda.of(e)))
+      for (s <- 0 until net.n; d <- 0 until net.n)
+        assert(net.dijkstra(s, d, col) === refSearch(net, s, d, lambda, -1), s"seed $seed $s→$d")
+      // another network evaluates it per search
+      val copy = new RoadNetwork(net.vertices, net.edges)
+      assert(copy.dijkstra(0, net.n - 1, col) === net.dijkstra(0, net.n - 1, lambda))
+    }
+    intercept[IllegalArgumentException](grid.column(_ => -1.0))
+    intercept[IllegalArgumentException](grid.column(_ => Double.NaN))
   }
 
   // --------------------------------------------------- workspace safety
