@@ -53,7 +53,7 @@ object BEdgePaths {
       targets.getOrElseUpdate((s, pref), mutable.LinkedHashSet.empty) += d
     val searches = targets.toIndexedSeq.map { case (sp, ds) => sp -> ds.toIndexedSeq }
     val paths = DriverPool.map(searches, spark.sparkContext.defaultParallelism) { case ((s, pref), ds) =>
-      net.prefDijkstraMany(s, ds, pref)
+      net.prefDijkstraMany(s, ds, Seq(pref)).head
     }
     val found = searches.zip(paths).flatMap { case (((s, pref), ds), ps) =>
       ds.zip(ps).map { case (d, p) => (s, pref, d) -> p }

@@ -10,8 +10,8 @@ import scala.collection.mutable
   * vertices merge only on positive gain and consistent road types. The
   * highest-popularity vertex always starts the next merge iteration. The
   * kernel is inherently sequential (a global priority queue over the
-  * evolving graph) but runs on the *aggregated* trajectory graph, which is
-  * small after the distributed popularity aggregation.
+  * evolving graph) but runs on the *aggregated* trajectory graph, a few
+  * thousand popular edges ([[TrajectoryGraph.clusterInput]]).
   */
 object Clustering {
 

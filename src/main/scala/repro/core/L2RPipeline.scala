@@ -15,6 +15,12 @@ import repro.traj.Trip
   *
   * Stage wall-clock times are recorded for the offline-processing-time
   * comparison in Section VII-C.
+  *
+  * The training trips are collected to the driver once, and every stage runs
+  * there: the trajectory graph and the region graph are single passes over
+  * a few hundred trips, and learning and B-edge paths run on a pool of driver
+  * threads. `spark` only gives that pool its size. `fit` leaves the storage
+  * level of `trainTrips` as its caller set it.
   */
 object L2RPipeline {
 
@@ -43,12 +49,11 @@ object L2RPipeline {
 
   def fit(spark: SparkSession, net: RoadNetwork, trainTrips: Dataset[Trip],
           params: Params = Params()): Model = {
-    trainTrips.persist()
     // Step 0+1: trajectory graph → regions → region graph
     val ((regions, index0), tGraph) = timed {
-      val clusterEdges = TrajectoryGraph.clusterInput(trainTrips, net)
-      val regions = Clustering.cluster(clusterEdges)
-      (regions, RegionGraph.build(spark, net, trainTrips, regions, params.graph))
+      val trips = trainTrips.collect().toSeq
+      val regions = Clustering.cluster(TrajectoryGraph.clusterInput(trips, net))
+      (regions, RegionGraph.build(net, trips, regions, params.graph))
     }
 
     // Step 1 (Section V): learn preferences for T-edges
@@ -70,7 +75,6 @@ object L2RPipeline {
     val (index, tApply) = timed {
       BEdgePaths.materialise(spark, net, index0, transferRes.prefs, params.tcsPerSide)
     }
-    trainTrips.unpersist()
 
     Model(index, regions, learned, transferRes, (tGraph, tLearn, tTransfer, tApply))
   }

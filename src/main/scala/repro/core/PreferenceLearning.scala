@@ -14,11 +14,12 @@ import scala.collection.mutable
   *
   * The searches are the work. Stored paths of different T-edges often start
   * at the same vertex, so they are grouped by head: one work item per head
-  * runs one many-target Algorithm 2 search per candidate preference
-  * ([[RoadNetwork.prefDijkstraMany]]) and scores every path that starts
-  * there. The work items run on a pool of driver threads sharing the road
-  * network ([[DriverPool]]); the driver then sums each T-edge's path scores
-  * and ranks its preferences.
+  * runs the many-target Algorithm 2 searches of all candidate preferences
+  * in one call ([[RoadNetwork.prefDijkstraMany]]), whose master-only
+  * searches also serve as the slave-rule fallbacks, and scores every path
+  * that starts there. The work items run on a pool of driver threads
+  * sharing the road network ([[DriverPool]]); the driver then sums each
+  * T-edge's path scores and ranks its preferences.
   */
 object PreferenceLearning {
 
@@ -53,7 +54,7 @@ object PreferenceLearning {
     * similarity to the Algorithm 2 path between its endpoints under
     * candidate c, 0 when there is none; null for paths shorter than two
     * vertices. One work item per head vertex, on `threads` driver threads,
-    * runs one many-target search per candidate preference.
+    * runs the many-target searches of every candidate preference.
     */
   private def pathScores(net: RoadNetwork, tedges: Seq[TEdgePaths], threads: Int): Array[Array[IndexedSeq[Double]]] = {
     val paths = tedges.map(_.paths.toIndexedSeq).toIndexedSeq
@@ -63,7 +64,7 @@ object PreferenceLearning {
       byHead.getOrElseUpdate(paths(i)(k).head, mutable.ArrayBuffer.empty) += ((i, k))
     val items = byHead.toIndexedSeq
     val scored = DriverPool.map(items, threads) { case (head, ps) =>
-      val found = candidates.map(pref => net.prefDijkstraMany(head, ps.map { case (i, k) => paths(i)(k).last }.toIndexedSeq, pref))
+      val found = net.prefDijkstraMany(head, ps.map { case (i, k) => paths(i)(k).last }.toIndexedSeq, candidates)
       ps.indices.map { j =>
         val (i, k) = ps(j)
         val sim1 = new PathSim.Sim1(net, paths(i)(k))

@@ -174,13 +174,17 @@ object RegionGraph {
     found.toSeq.sorted
   }
 
-  /** Assemble the full (pre-preference) region graph. Runs on the driver;
-    * `spark` is unused and kept for callers.
+  /** [[build]] of the collected trips; `spark` is unused and kept for
+    * callers.
     */
   def build(spark: SparkSession, net: RoadNetwork, trips: Dataset[Trip],
-            regions: Seq[Clustering.Region], params: Params = Params()): RegionGraphIndex = {
+            regions: Seq[Clustering.Region], params: Params = Params()): RegionGraphIndex =
+    build(net, trips.collect().toSeq, regions, params)
+
+  /** Assemble the full (pre-preference) region graph on the driver. */
+  def build(net: RoadNetwork, trips: Seq[Trip], regions: Seq[Clustering.Region], params: Params): RegionGraphIndex = {
     val vertexRegion = Clustering.assignment(regions)
-    val rows = trips.collect().toSeq.map(extract(_, vertexRegion.getOrElse(_, -1), params.maxSegmentsPerTrip))
+    val rows = trips.map(extract(_, vertexRegion.getOrElse(_, -1), params.maxSegmentsPerTrip))
     val byPath = Ordering.Implicits.seqOrdering[Seq, Int]
     val tPaths = topN(rows.flatMap(_._1).map(r => ((r.ri min r.rj, r.ri max r.rj), r.path)),
       params.topPathsPerTEdge, Ordering.by[Seq[Int], Int](-_.length).orElse(byPath))

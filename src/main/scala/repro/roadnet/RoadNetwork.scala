@@ -208,27 +208,57 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     * does not discuss it; the fallback keeps routing total).
     */
   def prefDijkstra(src: Int, dst: Int, pref: Preference): Option[Vector[Int]] =
-    prefSearch(src, Array(dst), pref)(0)
+    prefDijkstraMany(src, Array(dst), Seq(pref))(0)(0)
 
-  /** [[prefDijkstra]] from `src` to every vertex of `targets`, in one search
-    * that stops once all targets are settled: one path per target, in
-    * target order, each equal to `prefDijkstra(src, target, pref)`. Targets
-    * may repeat and may include `src`. The slave-rule fallback is one
-    * master-cost search for the targets the restricted search missed.
+  /** [[prefDijkstra]] from `src` to every vertex of `targets` under each of
+    * `prefs`: `result(p)(t)` equals `prefDijkstra(src, targets(t), prefs(p))`.
+    * Targets may repeat and may include `src`. Each preference with a slave
+    * runs one restricted search that stops once all targets are settled.
+    * Each master then runs at most one master-cost search: to every target
+    * if `prefs` holds the master with no slave, else to the targets its
+    * slave preferences missed. That search answers the master's preference
+    * with no slave and is the slave-rule fallback of all the others, since
+    * a many-target search returns each target's single-target path. The
+    * bookkeeping is array loops: every [[prefDijkstra]] runs through here,
+    * thousands of them (trip generation) before the JIT has compiled it.
     */
-  def prefDijkstraMany(src: Int, targets: IndexedSeq[Int], pref: Preference): IndexedSeq[Option[Vector[Int]]] =
-    ArraySeq.unsafeWrapArray(prefSearch(src, targets.toArray, pref))
-
-  private def prefSearch(src: Int, targets: Array[Int], pref: Preference): Array[Option[Vector[Int]]] = {
-    val paths = search(src, targets, pref.master, pref.slaveRt)
-    if (pref.slave.isDefined) {
-      val missed = paths.indices.filter(paths(_).isEmpty).toArray
-      if (missed.nonEmpty) {
-        val found = search(src, missed.map(targets), pref.master, -1)
-        missed.indices.foreach(i => paths(missed(i)) = found(i))
-      }
+  def prefDijkstraMany(src: Int, targets: IndexedSeq[Int], prefs: Seq[Preference]): IndexedSeq[IndexedSeq[Option[Vector[Int]]]] = {
+    val ts = targets.toArray
+    val ps = prefs.toArray
+    val paths = new Array[Array[Option[Vector[Int]]]](ps.length)
+    // by master id: the targets its master-only search must settle
+    val need = new Array[Array[Boolean]](CostType.all.length)
+    var p = 0
+    while (p < ps.length) {
+      val m = ps(p).masterId
+      if (ps(p).slave.isDefined) paths(p) = search(src, ts, ps(p).master, ps(p).slaveRt)
+      if (need(m) == null) need(m) = new Array[Boolean](ts.length)
+      var t = 0
+      while (t < ts.length) { if (paths(p) == null || paths(p)(t).isEmpty) need(m)(t) = true; t += 1 }
+      p += 1
     }
-    paths
+    // by master id: each target's master-only path, where it was searched
+    val plain = need.indices.map { m =>
+      val at = if (need(m) == null) Array.emptyIntArray else ts.indices.filter(t => need(m)(t)).toArray
+      val found = new Array[Option[Vector[Int]]](ts.length)
+      if (at.nonEmpty) {
+        val ms = search(src, at.map(ts(_)), CostType.byId(m), -1)
+        var i = 0
+        while (i < at.length) { found(at(i)) = ms(i); i += 1 }
+      }
+      found
+    }
+    p = 0
+    while (p < ps.length) {
+      val master = plain(ps(p).masterId)
+      if (paths(p) == null) paths(p) = master
+      else {
+        var t = 0
+        while (t < ts.length) { if (paths(p)(t).isEmpty) paths(p)(t) = master(t); t += 1 }
+      }
+      p += 1
+    }
+    ArraySeq.unsafeWrapArray(paths.map(ArraySeq.unsafeWrapArray(_)))
   }
 
   /** The one search loop: Dijkstra from `src` until every vertex of

@@ -43,27 +43,33 @@ class SearchKernelSpec extends SparkSpec {
   }
 
   test("a many-target search returns each target's single-target path (scalacheck)") {
-    var duplicates = 0; var srcTargets = 0; var unreachable = 0; var fallbacks = 0
+    var duplicates = 0; var srcTargets = 0; var unreachable = 0; var fallbacks = 0; var fallbacksWithoutPlain = 0
     val cases = for {
       seed <- Gen.choose(0L, Long.MaxValue)
       net = tieNet(new Random(seed))
       src <- Gen.choose(0, net.n - 1)
       targets <- Gen.nonEmptyListOf(Gen.frequency(6 -> Gen.choose(0, net.n - 1), 1 -> Gen.const(src)))
-    } yield (net, src, targets.toVector)
-    val prop = Prop.forAllNoShrink(cases) { case (net, src, targets) =>
+      // all 21 preferences as learning asks for them, or a few, which may repeat
+      // and may lack a slave preference's master-only search
+      ps <- Gen.frequency(1 -> Gen.const(prefs), 3 -> Gen.listOfN(4, Gen.oneOf(prefs)))
+    } yield (net, src, targets.toVector, ps)
+    val prop = Prop.forAllNoShrink(cases) { case (net, src, targets, ps) =>
       if (targets.distinct.size < targets.size) duplicates += 1
       if (targets.contains(src)) srcTargets += 1
-      prefs.forall { pref =>
-        val expect = targets.map(refPref(net, src, _, pref))
-        unreachable += expect.count(_.isEmpty)
-        fallbacks += targets.count(needsFallback(net, src, _, pref))
-        net.prefDijkstraMany(src, targets, pref) == expect
+      val expect = ps.map(pref => targets.map(refPref(net, src, _, pref)))
+      unreachable += expect.map(_.count(_.isEmpty)).sum
+      ps.foreach { pref =>
+        val n = targets.count(needsFallback(net, src, _, pref))
+        fallbacks += n
+        if (!ps.contains(Preference(pref.master, None))) fallbacksWithoutPlain += n
       }
+      net.prefDijkstraMany(src, targets, ps) == expect
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(11L)), prop)
     assert(result.passed, result.status)
-    assert(duplicates > 0 && srcTargets > 0 && unreachable > 0 && fallbacks > 0,
-      s"duplicates=$duplicates src=$srcTargets unreachable=$unreachable fallbacks=$fallbacks")
+    assert(duplicates > 0 && srcTargets > 0 && unreachable > 0 && fallbacks > 0 && fallbacksWithoutPlain > 0,
+      s"duplicates=$duplicates src=$srcTargets unreachable=$unreachable fallbacks=$fallbacks " +
+      s"fallbacksWithoutPlain=$fallbacksWithoutPlain")
   }
 
   test("a cost column returns the lambda's path on tie-heavy random networks") {
