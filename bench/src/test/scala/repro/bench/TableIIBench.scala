@@ -12,7 +12,7 @@ class TableIIBench extends SparkSpec {
 
   test("Table II: D1-lite distance distribution is short-trip dominated") {
     val s = BenchScenarios.d1
-    val (hist, txt) = Tables.tableII(spark, s.net, s.train ++ s.test, s.bounds, s.name)
+    val (hist, txt) = Tables.tableII(s.net, s.train ++ s.test, s.bounds, s.name)
     println(txt)
     println("Paper D1:        91.6%        7.6%        0.5%         0.3%")
     assert(hist.map(_.n).sum > 0)
@@ -24,7 +24,7 @@ class TableIIBench extends SparkSpec {
 
   test("Table II: D2-lite distance distribution peaks at mid-length trips") {
     val s = BenchScenarios.d2
-    val (hist, txt) = Tables.tableII(spark, s.net, s.train ++ s.test, s.bounds, s.name)
+    val (hist, txt) = Tables.tableII(s.net, s.train ++ s.test, s.bounds, s.name)
     println(txt)
     println("Paper D2:        15.8%       56.9%       23.5%         3.8%")
     assert(hist.map(_.n).sum > 0)

@@ -29,7 +29,7 @@ object TableII {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("table2")
     Jobs.scenarios(spark, Jobs.scale(args)).foreach { s =>
-      val (_, txt) = Tables.tableII(spark, s.net, s.train ++ s.test, s.bounds, s.name)
+      val (_, txt) = Tables.tableII(s.net, s.train ++ s.test, s.bounds, s.name)
       println(txt)
     }
     spark.stop()

@@ -1,7 +1,6 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core.{Clustering, PreferenceTransfer}
 import repro.roadnet.RoadNetwork
 import repro.traj.Trip
@@ -18,10 +17,8 @@ object Tables {
   final case class Histo(bucket: String, n: Long, pct: Double)
 
   /** Trips per distance bucket; trips outside the bounds get a bucket of their own. */
-  def tableII(spark: SparkSession, net: RoadNetwork, trips: Seq[Trip],
-              bounds: Seq[Double], label: String): (Seq[Histo], String) = {
-    val counts = Evaluator.distanceHistogram(spark, net, trips, bounds).collect()
-      .map(r => r.getAs[String]("bucket") -> r.getAs[Long]("n")).toMap
+  def tableII(net: RoadNetwork, trips: Seq[Trip], bounds: Seq[Double], label: String): (Seq[Histo], String) = {
+    val counts = Evaluator.distanceHistogram(net, trips, bounds)
     val total = counts.values.sum.toDouble
     val hs = (buckets(bounds) ++ Seq(Evaluator.OutOfRange).filter(counts.contains)).map { b =>
       val n = counts.getOrElse(b, 0L)
@@ -97,16 +94,9 @@ object Tables {
   def accuracyTables(spark: SparkSession, scenario: Scenario,
                      algos: Seq[String]): (Seq[AccRow], Seq[AccRow], String) = {
     val rows = Evaluator.evaluate(spark, scenario.net, scenario.model.index,
-      scenario.routers.filter(r => algos.contains(r.name)), scenario.test).cache()
-    val byDist = Evaluator.byDistance(rows, scenario.bounds).collect().map { r =>
-      AccRow(r.getAs[String]("algo"), r.getAs[String]("bucket"), r.getAs[Double]("sim1"),
-        r.getAs[Double]("sim2"), r.getAs[Double]("micros"), r.getAs[Long]("n"))
-    }.toSeq
-    val byCat = Evaluator.byCategory(rows).collect().map { r =>
-      AccRow(r.getAs[String]("algo"), r.getAs[String]("category"), r.getAs[Double]("sim1"),
-        r.getAs[Double]("sim2"), r.getAs[Double]("micros"), r.getAs[Long]("n"))
-    }.toSeq
-    rows.unpersist()
+      scenario.routers.filter(r => algos.contains(r.name)), scenario.test)
+    val byDist = Evaluator.byDistance(rows, scenario.bounds)
+    val byCat = Evaluator.byCategory(rows)
 
     val sb = new StringBuilder
     def block(title: String, keys: Seq[String], data: Seq[AccRow], field: AccRow => Double, f: String): Unit = {

@@ -61,9 +61,10 @@ final class CostColumn private[roadnet] (owner: RoadNetwork, private[roadnet] va
   * otherwise re-parent a settled vertex and send path reconstruction round
   * a cycle.
   *
-  * The network is broadcast to executors for the distributed fan-out
-  * stages, hence [[Serializable]]; the CSR columns and workspaces are
-  * transient and rebuilt on first use. Vertex ids must be 0..n-1 and edge
+  * Trip generation broadcasts the network to executors, hence
+  * [[Serializable]]; every other stage shares one network across the
+  * threads of a [[repro.util.DriverPool]]. The CSR columns and workspaces
+  * are transient and rebuilt on first use. Vertex ids must be 0..n-1 and edge
   * endpoints vertex ids; the constructor checks both.
   */
 final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) extends Serializable {

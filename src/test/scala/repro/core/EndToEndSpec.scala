@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.SparkJobs.jobsOf
 import repro.SparkSpec
 import repro.eval.{Evaluator, Scenario, Tables}
 
@@ -63,10 +64,18 @@ class EndToEndSpec extends SparkSpec {
   test("InRegion accuracy exceeds OutRegion accuracy for L2R") {
     val rows = Evaluator.evaluate(spark, sc.net, sc.model.index,
       sc.routers.filter(_.name == "L2R"), sc.test)
-    val byCat = Evaluator.byCategory(rows).collect()
-      .map(r => r.getAs[String]("category") -> r.getAs[Double]("sim1")).toMap
+    val byCat = Evaluator.byCategory(rows).map(r => r.key -> r.sim1).toMap
     for (in <- byCat.get("InRegion"); out <- byCat.get("OutRegion"))
       assert(in >= out - 0.05, s"InRegion=$in should not trail OutRegion=$out")
+  }
+
+  test("the evaluation tables start no Spark job") {
+    val small = sc.copy(test = sc.test.take(40))
+    val jobs = jobsOf(spark.sparkContext) {
+      Tables.accuracyTables(spark, small, Seq("L2R", "Fastest"))
+      Tables.tableII(small.net, small.test, small.bounds, small.name)
+    }
+    assert(jobs === 0)
   }
 
   test("transfer produced preferences for most B-edges (low null rate)") {

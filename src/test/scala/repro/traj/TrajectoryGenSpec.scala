@@ -81,8 +81,12 @@ class TrajectoryGenSpec extends SparkSpec {
 
   test("distributed generation matches local generation") {
     val ds = TrajectoryGen.generate(spark, net, cfg).collect().toSeq.sortBy(_.id)
-    assert(ds.map(_.path) === trips.map(_.path))
+    assert(ds.size === trips.size)
+    assert(ds.map(_.id) === trips.map(_.id))
     assert(ds.map(_.driver) === trips.map(_.driver))
+    assert(ds.map(_.path) === trips.map(_.path))
+    assert(ds.map(t => java.lang.Double.doubleToRawLongBits(t.ttActual)) ===
+      trips.map(t => java.lang.Double.doubleToRawLongBits(t.ttActual)))
   }
 
   test("trips are not simply shortest or fastest paths in aggregate") {

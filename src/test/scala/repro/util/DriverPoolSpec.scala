@@ -1,5 +1,7 @@
 package repro.util
 
+import java.util.concurrent.atomic.AtomicInteger
+
 import org.scalatest.funsuite.AnyFunSuite
 
 class DriverPoolSpec extends AnyFunSuite {
@@ -23,5 +25,17 @@ class DriverPoolSpec extends AnyFunSuite {
       if (i == 17) throw new IllegalStateException("item 17") else i
     })
     assert(e.getMessage === "item 17")
+  }
+
+  test("after a failure no new item starts, and the lowest failing item's error is rethrown") {
+    val started = new AtomicInteger(0)
+    val e = intercept[IllegalStateException](DriverPool.map((0 until 10000).toIndexedSeq, 4) { i =>
+      started.incrementAndGet()
+      if (i == 20) { Thread.sleep(50); throw new IllegalStateException("item 20") }
+      if (i == 30) throw new IllegalStateException("item 30")
+      Thread.sleep(1); i
+    })
+    assert(e.getMessage === "item 20")
+    assert(started.get < 100, s"${started.get} items started")
   }
 }
