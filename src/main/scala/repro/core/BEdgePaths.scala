@@ -59,11 +59,9 @@ object BEdgePaths {
       ds.zip(ps).map { case (d, p) => (s, pref, d) -> p }
     }.toMap
 
-    // Lists: the bytes of a serialised model depend on the Seq class, and a
-    // model's B-edge paths are Lists
     val results = plans.map { case (key, pref, pairs) =>
       key -> pairs.flatMap { case (s, d) => found((s, pref, d)) }
-        .filter(_.length >= 2).distinct.map(p => PathRec(p.toList, 0)).toList
+        .filter(_.length >= 2).distinct.map(PathRec(_, 0))
     }.toMap
 
     val newEdges = index.edges.map {

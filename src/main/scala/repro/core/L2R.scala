@@ -1,8 +1,9 @@
 package repro.core
 
 import repro.roadnet.{CostType, Preference, RoadNetwork}
+import repro.util.CostHeap
 
-import scala.collection.mutable
+import scala.collection.immutable.ArraySeq
 
 /** The unified routing algorithm of Section VI, answering arbitrary (s, d)
   * requests on the region graph.
@@ -20,7 +21,7 @@ import scala.collection.mutable
   */
 final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Serializable {
 
-  private val Fastest = Preference(CostType.TT, None)
+  private val FastestCode = Preference.code(Preference(CostType.TT, None))
 
   private def fastest(s: Int, d: Int): Vector[Int] =
     net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
@@ -30,47 +31,91 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     * multi-hop detours (triangle inequality) and fewer region edges are
     * preferred — the paper's routing intuition.
     */
-  def regionPath(rs: Int, rd: Int, hopPenaltyKm: Double = 1.0): Option[Seq[Int]] = {
-    if (rs == rd) return Some(Seq(rs))
-    val dist = mutable.HashMap(rs -> 0.0)
-    val parent = mutable.HashMap.empty[Int, Int]
-    val done = mutable.Set.empty[Int]
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
-    pq.enqueue((0.0, rs))
-    while (pq.nonEmpty) {
-      val (c, r) = pq.dequeue()
-      if (!done.contains(r)) {
-        done += r
-        if (r == rd) {
-          val b = mutable.ArrayBuffer(rd)
-          var cur = rd
-          while (cur != rs) { cur = parent(cur); b += cur }
-          return Some(b.reverse.toSeq)
+  def regionPath(rs: Int, rd: Int, hopPenaltyKm: Double = 1.0): Option[Seq[Int]] =
+    if (rs == rd) Some(Seq(rs))
+    else {
+      val a = index.indexOfRegion(rs); val b = index.indexOfRegion(rd)
+      val rp = if (a < 0 || b < 0) null else searchRegions(a, b, hopPenaltyKm)
+      Option(rp).map(p => ArraySeq.unsafeWrapArray(p.map(index.regionId(_))))
+    }
+
+  /** [[regionPath]] between region indices a ≠ b, as region indices, or
+    * null when b is unreachable. The search runs over the index's CSR
+    * adjacency on a [[CostHeap]], which pops equal costs in the order of the
+    * library priority queue the search once used, so every region path
+    * stays the same.
+    */
+  private def searchRegions(a: Int, b: Int, hopPenaltyKm: Double): Array[Int] = {
+    val adj = index.adjacency
+    val dist = Array.fill(index.nRegions)(Double.PositiveInfinity)
+    val parent = new Array[Int](index.nRegions)
+    val done = new Array[Boolean](index.nRegions)
+    val heap = new CostHeap(index.nRegions)
+    dist(a) = 0.0
+    heap.push(0.0, a)
+    while (heap.size > 0) {
+      val c = heap.minCost; val r = heap.minVertex
+      heap.pop()
+      if (!done(r)) {
+        done(r) = true
+        if (r == b) {
+          var len = 1; var v = b
+          while (v != a) { v = parent(v); len += 1 }
+          val path = new Array[Int](len)
+          v = b
+          for (i <- len - 1 to 0 by -1) { path(i) = v; v = parent(v) }
+          return path
         }
-        index.neighbors.getOrElse(r, Nil).foreach { nb =>
-          val nc = c + index.centroidDist(r, nb) + hopPenaltyKm
-          if (nc < dist.getOrElse(nb, Double.PositiveInfinity)) {
-            dist(nb) = nc; parent(nb) = r; pq.enqueue((nc, nb))
-          }
+        var p = adj.off(r)
+        while (p < adj.off(r + 1)) {
+          val nb = adj.nbr(p)
+          val nc = c + adj.dist(p) + hopPenaltyKm
+          if (nc < dist(nb)) { dist(nb) = nc; parent(nb) = r; heap.push(nc, nb) }
+          p += 1
         }
       }
     }
-    None
+    null
+  }
+
+  /** Position of the first `v` in stored path `p`, from its start, or -1. */
+  private def indexIn(p: Int, v: Int): Int = {
+    var i = index.pathOff(p)
+    while (i < index.pathOff(p + 1)) { if (index.pathVert(i) == v) return i - index.pathOff(p); i += 1 }
+    -1
+  }
+
+  /** The s … d slice of the most-traversed stored path, among the rows of
+    * `ranges`, that passes s before d; on equal counts the first in range
+    * order, as a stable sort by count picks it. Null when no path does.
+    */
+  private def storedSlice(ranges: Seq[Range], s: Int, d: Int): Vector[Int] = {
+    var best = -1; var bestS = 0; var bestD = 0
+    for (range <- ranges; p <- range if best < 0 || index.pathCount(p) > index.pathCount(best)) {
+      val is = indexIn(p, s)
+      if (is >= 0) {
+        val id = indexIn(p, d)
+        if (id > is) { best = p; bestS = is; bestD = id }
+      }
+    }
+    if (best < 0) null
+    else index.pathVert.slice(index.pathOff(best) + bestS, index.pathOff(best) + bestD + 1).toVector
   }
 
   /** Same-region routing: the most-traversed inner path containing s before
     * d, else the fastest path.
     */
   def innerRoute(r: Int, s: Int, d: Int): Vector[Int] = {
-    val cands = index.innerPaths.getOrElse(r, Nil).flatMap { pr =>
-      val is = pr.verts.indexOf(s)
-      val id = pr.verts.indexOf(d)
-      if (is >= 0 && id > is) Some((pr.count, pr.verts.slice(is, id + 1).toVector)) else None
-    }
-    if (cands.nonEmpty) cands.maxBy(_._1)._2 else fastest(s, d)
+    val i = index.indexOfRegion(r)
+    if (i < 0) fastest(s, d) else innerRouteAt(i, s, d)
   }
 
-  /** Map a region path back to a road path (Section VI).
+  private def innerRouteAt(i: Int, s: Int, d: Int): Vector[Int] = {
+    val p = storedSlice(Seq(index.innerPathsOf(i)), s, d)
+    if (p != null) p else fastest(s, d)
+  }
+
+  /** Map a region path (region indices) back to a road path (Section VI).
     *
     * A direct region edge routes s → d with that edge's learned or
     * transferred preference (Algorithm 2) — for a T-edge this
@@ -86,62 +131,59 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     * the same search. Case 2 passes the fastest path it has already
     * computed.
     */
-  private def mapRegionPath(s: Int, d: Int, rp: Seq[Int], fp: => Vector[Int]): Vector[Int] = {
+  private def mapRegionPath(s: Int, d: Int, rp: Array[Int], fp: => Vector[Int]): Vector[Int] = {
+    val rows = (0 until rp.length - 1).map(i => index.edgeRow(rp(i), rp(i + 1)))
     // Case 1 of trajectory-based routing: if a stored trajectory fragment
     // along the region path already runs through s and then d, recommend
-    // that sub-path directly (most-traversed first).
-    val reuse = rp.sliding(2).toSeq.flatMap {
-      case Seq(a, b) => index.edgeBetween(a, b).toSeq.flatMap(_.paths)
-      case _         => Nil
-    }.sortBy(-_.count).iterator.flatMap { pr =>
-      val is = pr.verts.indexOf(s); val id = pr.verts.indexOf(d)
-      if (is >= 0 && id > is) Some(pr.verts.slice(is, id + 1).toVector) else None
-    }.nextOption()
-    reuse.foreach(p => return p)
+    // that sub-path directly (most-traversed first, then in region-path
+    // order).
+    val reuse = storedSlice(rows.map(index.edgePaths), s, d)
+    if (reuse != null) return reuse
 
-    val votes = rp.sliding(2).toSeq.flatMap {
-      case Seq(a, b) =>
-        index.edgeBetween(a, b).flatMap(e => e.pref.map(_ -> math.max(1, e.paths.map(_.count).sum)))
-      case _ => None
+    // each code's vote: the trajectory support of its region edges, at least 1 each
+    val weight = new Array[Int](21)
+    var voted = false
+    rows.foreach { e =>
+      val code = index.edgePref(e)
+      if (code >= 0) {
+        weight(code) += math.max(1, index.edgePaths(e).map(index.pathCount(_)).sum)
+        voted = true
+      }
     }
-    if (votes.isEmpty) fp
+    if (!voted) fp
     else {
-      val pref = votes.groupMapReduce(_._1)(_._2)(_ + _)
-        .maxBy { case (p, w) => (w, -p.masterId, -p.slaveRt) }._1
-      if (pref == Fastest) fp else net.prefDijkstra(s, d, pref).getOrElse(fp)
+      // the heaviest vote; on ties the lowest master id, then the lowest slave road type
+      var best = 0
+      for (c <- weight.indices if weight(c) > weight(best)) best = c
+      if (best == FastestCode) fp
+      else net.prefDijkstra(s, d, Preference.fromCode(best)).getOrElse(fp)
     }
   }
 
   /** Answer a routing request; always returns a valid path s → d. */
   def route(s: Int, d: Int): Vector[Int] = {
     if (s == d) return Vector(s)
-    val rsOpt = index.vertexRegion.get(s)
-    val rdOpt = index.vertexRegion.get(d)
-    (rsOpt, rdOpt) match {
-      case (Some(rs), Some(rd)) if rs == rd =>
-        // Case 1, same region: most-traversed inner path
-        innerRoute(rs, s, d)
-      case (Some(rs), Some(rd)) =>
+    val rs = index.regionIndexOf(s)
+    val rd = index.regionIndexOf(d)
+    if (rs >= 0 && rd >= 0) {
+      if (rs == rd) innerRouteAt(rs, s, d) // Case 1, same region: most-traversed inner path
+      else {
         // Case 1, different regions: route on the region graph
-        regionPath(rs, rd) match {
-          case Some(rp) if rp.length >= 2 => mapRegionPath(s, d, rp, fastest(s, d))
-          case _                          => fastest(s, d)
-        }
-      case _ =>
-        // Case 2 (Section VI): find candidate regions *visited by the
-        // fastest path* from s to d; with fewer than two candidates the
-        // fastest path is returned unchanged (paper, Fig. 8).
-        val fp = fastest(s, d)
-        val rs = rsOpt.orElse(fp.iterator.flatMap(index.vertexRegion.get).nextOption())
-        val rd = rdOpt.orElse(fp.reverseIterator.flatMap(index.vertexRegion.get).nextOption())
-        (rs, rd) match {
-          case (Some(a), Some(b)) if a != b =>
-            regionPath(a, b) match {
-              case Some(rp) if rp.length >= 2 => mapRegionPath(s, d, rp, fp)
-              case _                          => fp
-            }
-          case _ => fp
-        }
+        val rp = searchRegions(rs, rd, 1.0)
+        if (rp != null) mapRegionPath(s, d, rp, fastest(s, d)) else fastest(s, d)
+      }
+    } else {
+      // Case 2 (Section VI): find candidate regions *visited by the
+      // fastest path* from s to d; with fewer than two candidates the
+      // fastest path is returned unchanged (paper, Fig. 8).
+      val fp = fastest(s, d)
+      val a = if (rs >= 0) rs else fp.iterator.map(index.regionIndexOf).find(_ >= 0).getOrElse(-1)
+      val b = if (rd >= 0) rd else fp.reverseIterator.map(index.regionIndexOf).find(_ >= 0).getOrElse(-1)
+      if (a < 0 || b < 0 || a == b) fp
+      else {
+        val rp = searchRegions(a, b, 1.0)
+        if (rp != null) mapRegionPath(s, d, rp, fp) else fp
+      }
     }
   }
 }

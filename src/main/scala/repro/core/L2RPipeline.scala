@@ -1,8 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.roadnet.RoadNetwork
+import repro.roadnet.{Preference, RoadNetwork}
 import repro.traj.Trip
+
+import java.io.{DataOutputStream, OutputStream}
+import java.security.{DigestOutputStream, MessageDigest}
 
 /** End-to-end offline construction of the L2R routing infrastructure —
   * the three steps of Figure 2:
@@ -39,8 +42,47 @@ object L2RPipeline {
       /** millis: (clustering+regionGraph, learn, transfer, applyPaths) */
       stageMillis: (Long, Long, Long, Long)) {
     def router(net: RoadNetwork): L2RRouter = new L2RRouter(net, index)
-    def nTEdges: Int = index.edges.values.count(_.isT)
-    def nBEdges: Int = index.edges.values.count(!_.isT)
+    def nTEdges: Int = index.nTEdges
+    def nBEdges: Int = index.nEdges - index.nTEdges
+    def digest: String = Model.digest(index)
+  }
+
+  object Model {
+    /** SHA-256 (hex) of a canonical encoding of `index`, read from its map
+      * views: regions by id (members sorted; centroid bits, top road types
+      * and transfer centres in order), the vertex → region map by vertex,
+      * region edges by key (endpoints, isT, preference, stored paths with
+      * their counts in order) and inner paths by region. Equal digests mean
+      * equal routing infrastructure, whatever the serialised bytes.
+      */
+    def digest(index: RegionGraphIndex): String = {
+      val md = MessageDigest.getInstance("SHA-256")
+      val out = new DataOutputStream(new DigestOutputStream(OutputStream.nullOutputStream(), md))
+      def ints(xs: Iterable[Int]): Unit = { out.writeInt(xs.size); xs.foreach(out.writeInt) }
+      def paths(ps: Seq[PathRec]): Unit = { out.writeInt(ps.size); ps.foreach { p => ints(p.verts); out.writeInt(p.count) } }
+      val regions = index.regions.values.toSeq.sortBy(_.id)
+      out.writeInt(regions.size)
+      regions.foreach { r =>
+        out.writeInt(r.id); ints(r.members.sorted); out.writeDouble(r.cx); out.writeDouble(r.cy)
+        ints(r.topRts); ints(r.transferCenters)
+      }
+      val vr = index.vertexRegion.toSeq.sorted
+      out.writeInt(vr.size)
+      vr.foreach { case (v, r) => out.writeInt(v); out.writeInt(r) }
+      val edges = index.edges.toSeq.sortBy(_._1)
+      out.writeInt(edges.size)
+      edges.foreach { case ((a, b), e) =>
+        out.writeInt(a); out.writeInt(b); out.writeInt(e.ri); out.writeInt(e.rj); out.writeBoolean(e.isT)
+        val (m, s) = Preference.toIds(e.pref)
+        out.writeInt(m); out.writeInt(s)
+        paths(e.paths)
+      }
+      val inner = index.innerPaths.toSeq.sortBy(_._1)
+      out.writeInt(inner.size)
+      inner.foreach { case (r, ps) => out.writeInt(r); paths(ps) }
+      out.flush()
+      md.digest().map("%02x".format(_)).mkString
+    }
   }
 
   private def timed[A](f: => A): (A, Long) = {

@@ -42,12 +42,10 @@ object PreferenceLearning {
   val slaveRts: Seq[Int] = 1 to 6
 
   /** The preferences a path is scored under: every master with no slave
-    * or one of [[slaveRts]], at index `masterId * 7 + slaveRt` (0 for none).
+    * or one of [[slaveRts]], at index [[Preference.code]].
     */
   private val candidates: IndexedSeq[Preference] =
     for (c <- CostType.all.toIndexedSeq; sl <- None +: slaveRts.map(Some(_))) yield Preference(c, sl)
-
-  private def candidateIx(p: Preference): Int = p.masterId * 7 + p.slave.getOrElse(0)
 
   /** The stored paths of `tedges` scored under every candidate preference:
     * `scores(i)(k)(c)` is path k of T-edge i's count times its Eq. 1
@@ -92,7 +90,7 @@ object PreferenceLearning {
     if (trips.isEmpty) return (Preference(CostType.TT, None), 0.0)
     val totalW = trips.map(te.counts(_)).sum.toDouble
 
-    def score(pref: Preference): Double = trips.map(k => scores(k)(candidateIx(pref))).sum
+    def score(pref: Preference): Double = { val c = Preference.code(pref); trips.map(k => scores(k)(c)).sum }
 
     // master dimension
     val masterScores = CostType.all.map(c => c -> score(Preference(c, None)))

@@ -38,49 +38,217 @@ final case class RegionEdgeData(
 }
 
 /** The routing infrastructure of Section IV: region vertices, region edges
-  * and inner-region paths, plus the vertex → region lookup.
+  * and their stored paths, and inner-region paths, held in primitive arrays.
+  *
+  * The serialised fields are arrays only:
+  *  - the regions by ascending id (`regionId`, centroid `cx`/`cy`), with
+  *    three concatenated lists and their offsets (region i's entries are
+  *    positions off(i) until off(i + 1)): top road types, members and
+  *    transfer centres;
+  *  - one row per region edge, in the iteration order of the map it was
+  *    built from: endpoints, isT and a preference code (-1 for none, else
+  *    [[Preference.code]]);
+  *  - every stored path as a range of one vertex array (`pathOff`,
+  *    `pathVert`), with its trajectory count, in path groups: group e < E
+  *    holds edge row e's paths and group E + i region i's inner paths, the
+  *    paths `groupOff(g)` until `groupOff(g + 1)`.
+  *
+  * Derived on first use and never serialised: the vertex → region array,
+  * the region adjacency as CSR (each region's neighbours in edge-row
+  * order, which fixes the region search's ties, with the edge row and the
+  * centroid distance), and the map views `regions`, `vertexRegion`, `edges`
+  * and `innerPaths`. The views hold the contents of the maps the index was
+  * built from. `edges` iterates in their order; the others do too when
+  * those maps came in id order or hold more than four entries (the order
+  * of an immutable hash map depends on its keys alone). The router
+  * ([[L2RRouter]]) reads only the arrays.
   */
-final class RegionGraphIndex(
-    val regions: Map[Int, RegionInfo],
-    val vertexRegion: Map[Int, Int],
-    val edges: Map[(Int, Int), RegionEdgeData],
-    val innerPaths: Map[Int, Seq[PathRec]]) extends Serializable {
+@SerialVersionUID(1L)
+final class RegionGraphIndex private (
+    private[core] val regionId: Array[Int],
+    cx: Array[Double],
+    cy: Array[Double],
+    topRtOff: Array[Int],
+    topRt: Array[Int],
+    memberOff: Array[Int],
+    member: Array[Int],
+    tcOff: Array[Int],
+    tc: Array[Int],
+    private[core] val edgeRi: Array[Int],
+    private[core] val edgeRj: Array[Int],
+    edgeIsT: Array[Boolean],
+    private[core] val edgePref: Array[Byte],
+    private[core] val groupOff: Array[Int],
+    private[core] val pathOff: Array[Int],
+    private[core] val pathVert: Array[Int],
+    private[core] val pathCount: Array[Int]) extends Serializable {
 
-  val neighbors: Map[Int, Seq[Int]] = {
-    val m = mutable.Map.empty[Int, mutable.ArrayBuffer[Int]]
-    edges.keys.foreach { case (a, b) =>
-      m.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += b
-      m.getOrElseUpdate(b, mutable.ArrayBuffer.empty) += a
-    }
-    m.view.mapValues(_.toSeq).toMap
+  /** Regions sorted by id, edge rows, the path groups and their paths. */
+  private def this(infos: Array[RegionInfo], rows: Array[RegionEdgeData], groups: Array[Seq[PathRec]],
+                   paths: Array[PathRec]) = this(
+    infos.map(_.id), infos.map(_.cx), infos.map(_.cy),
+    infos.map(_.topRts.length).scanLeft(0)(_ + _), infos.flatMap(_.topRts),
+    infos.map(_.members.length).scanLeft(0)(_ + _), infos.flatMap(_.members),
+    infos.map(_.transferCenters.length).scanLeft(0)(_ + _), infos.flatMap(_.transferCenters),
+    rows.map(_.ri), rows.map(_.rj), rows.map(_.isT), rows.map(e => e.pref.fold(-1)(Preference.code).toByte),
+    groups.map(_.length).scanLeft(0)(_ + _),
+    paths.map(_.verts.length).scanLeft(0)(_ + _), RegionGraphIndex.concat(paths.map(_.verts)), paths.map(_.count))
+
+  private def this(infos: Array[RegionInfo], rows: Array[RegionEdgeData], groups: Array[Seq[PathRec]]) =
+    this(infos, rows, groups, groups.flatten)
+
+  /** The index of the maps: `vertexRegion` must be the regions' members'
+    * lookup, and each region and edge must sit under its own key.
+    */
+  def this(regions: Map[Int, RegionInfo], vertexRegion: Map[Int, Int],
+           edges: Map[(Int, Int), RegionEdgeData], innerPaths: Map[Int, Seq[PathRec]]) = {
+    this(regions.values.toArray.sortBy(_.id), edges.values.toArray,
+      edges.values.toArray.map(_.paths) ++ regions.keys.toArray.sorted.map(innerPaths.getOrElse(_, Nil)))
+    require(regions.forall { case (id, r) => r.id == id && id >= 0 }, "a region id is negative or not its key")
+    require(edges.forall { case (k, e) => k == e.key && regions.contains(e.ri) && regions.contains(e.rj) },
+      "an edge sits under another key or joins an unknown region")
+    require(innerPaths.keySet.subsetOf(regions.keySet), "inner paths of an unknown region")
+    require(vertexRegion.size == vertexIndex.count(_ >= 0) && vertexRegion.forall { case (v, r) => regionOf(v) == r },
+      "vertexRegion is not the regions' members' lookup")
   }
 
-  def edgeBetween(a: Int, b: Int): Option[RegionEdgeData] = edges.get(if (a < b) (a, b) else (b, a))
+  def nRegions: Int = regionId.length
+  def nEdges: Int = edgeRi.length
+  def nTEdges: Int = edgeIsT.count(identity)
 
-  def centroidDist(a: Int, b: Int): Double = {
-    val ra = regions(a); val rb = regions(b)
-    math.hypot(ra.cx - rb.cx, ra.cy - rb.cy)
+  /** The region index (position in `regionId`) of region `id`, or -1. */
+  private[core] def indexOfRegion(id: Int): Int = {
+    val i = java.util.Arrays.binarySearch(regionId, id)
+    if (i >= 0) i else -1
+  }
+
+  /** Each vertex's region index, -1 for none; a member of several regions
+    * is the last one's, as in [[Clustering.assignment]], and vertices past
+    * the last member are in none.
+    */
+  @transient private lazy val vertexIndex: Array[Int] = {
+    val out = Array.fill(if (member.isEmpty) 0 else member.max + 1)(-1)
+    for (i <- regionId.indices; p <- memberOff(i) until memberOff(i + 1)) out(member(p)) = i
+    out
+  }
+
+  /** The region index of vertex `v`, or -1 when `v` is in no region. */
+  private[core] def regionIndexOf(v: Int): Int = {
+    val vi = vertexIndex
+    if (v >= 0 && v < vi.length) vi(v) else -1
+  }
+
+  /** The region id of vertex `v`, or -1 when `v` is in no region. */
+  def regionOf(v: Int): Int = {
+    val i = regionIndexOf(v)
+    if (i < 0) -1 else regionId(i)
+  }
+
+  /** The region adjacency: region i's neighbours are `nbr` at positions
+    * off(i) until off(i + 1), joined by edge row `row`, whose centroids lie
+    * `dist` km apart.
+    */
+  @transient private[core] lazy val adjacency: RegionGraphIndex.Adjacency = {
+    val a = edgeRi.map(indexOfRegion); val b = edgeRj.map(indexOfRegion)
+    val deg = new Array[Int](nRegions)
+    a.indices.foreach { e => deg(a(e)) += 1; deg(b(e)) += 1 }
+    val off = deg.scanLeft(0)(_ + _)
+    val next = off.clone()
+    val nbr = new Array[Int](off(nRegions)); val row = new Array[Int](off(nRegions))
+    val dist = new Array[Double](off(nRegions))
+    def add(u: Int, v: Int, e: Int): Unit = {
+      val p = next(u); next(u) += 1
+      nbr(p) = v; row(p) = e; dist(p) = math.hypot(cx(u) - cx(v), cy(u) - cy(v))
+    }
+    a.indices.foreach { e => add(a(e), b(e), e); add(b(e), a(e), e) }
+    new RegionGraphIndex.Adjacency(off, nbr, row, dist)
+  }
+
+  /** The stored paths of edge row `e`. */
+  private[core] def edgePaths(e: Int): Range = groupOff(e) until groupOff(e + 1)
+
+  /** The inner paths of region index `i`. */
+  private[core] def innerPathsOf(i: Int): Range = groupOff(nEdges + i) until groupOff(nEdges + i + 1)
+
+  /** The edge row between region indices `a` and `b`, or -1. */
+  private[core] def edgeRow(a: Int, b: Int): Int = {
+    val adj = adjacency
+    var p = adj.off(a)
+    while (p < adj.off(a + 1)) { if (adj.nbr(p) == b) return adj.row(p); p += 1 }
+    -1
   }
 
   /** Is the region graph connected? (guaranteed by B-edge construction when
     * the road network is connected)
     */
   def isConnected: Boolean = {
-    if (regions.isEmpty) return true
-    val seen = mutable.Set(regions.keys.head)
-    val q = mutable.Queue(regions.keys.head)
-    while (q.nonEmpty) {
-      val r = q.dequeue()
-      neighbors.getOrElse(r, Nil).foreach(n => if (seen.add(n)) q.enqueue(n))
+    if (nRegions == 0) return true
+    val adj = adjacency
+    val seen = new Array[Boolean](nRegions)
+    val queue = new Array[Int](nRegions)
+    seen(0) = true
+    var head = 0; var tail = 1
+    while (head < tail) {
+      val r = queue(head); head += 1
+      for (p <- adj.off(r) until adj.off(r + 1) if !seen(adj.nbr(p))) {
+        seen(adj.nbr(p)) = true; queue(tail) = adj.nbr(p); tail += 1
+      }
     }
-    seen.size == regions.size
+    tail == nRegions
   }
+
+  // ------------------------------------------------- views, rebuilt on demand
+
+  private def ints(off: Array[Int], values: Array[Int], i: Int): Array[Int] =
+    java.util.Arrays.copyOfRange(values, off(i), off(i + 1))
+
+  /** Stored paths `ps` in the collection classes the map-based index held:
+    * learning's Eq. 1 scoring ran measurably slower in a fresh JVM when the
+    * vertices were array-backed.
+    */
+  private def pathRecs(ps: Range): Seq[PathRec] =
+    ps.map(p => PathRec(ints(pathOff, pathVert, p).toList, pathCount(p))).to(ArraySeq)
+
+  /** The regions by id. */
+  @transient lazy val regions: Map[Int, RegionInfo] = regionId.indices.map { i =>
+    regionId(i) -> RegionInfo(regionId(i), ints(memberOff, member, i), cx(i), cy(i),
+      ints(topRtOff, topRt, i).toList, ints(tcOff, tc, i))
+  }.toMap
+
+  /** The vertex → region id lookup of every region member. */
+  @transient lazy val vertexRegion: Map[Int, Int] =
+    regionId.indices.flatMap(i => (memberOff(i) until memberOff(i + 1)).map(p => member(p) -> regionId(i))).toMap
+
+  /** The region edges by their (min, max) key. */
+  @transient lazy val edges: Map[(Int, Int), RegionEdgeData] = edgeRi.indices.map { e =>
+    val d = RegionEdgeData(edgeRi(e), edgeRj(e), edgeIsT(e), pathRecs(edgePaths(e)),
+      if (edgePref(e) < 0) None else Some(Preference.fromCode(edgePref(e))))
+    d.key -> d
+  }.toMap
+
+  /** The inner-region paths of every region that has some. */
+  @transient lazy val innerPaths: Map[Int, Seq[PathRec]] =
+    regionId.indices.filter(innerPathsOf(_).nonEmpty).map(i => regionId(i) -> pathRecs(innerPathsOf(i))).toMap
+}
+
+object RegionGraphIndex {
+
+  /** `seqs` end to end. */
+  private def concat(seqs: Array[Seq[Int]]): Array[Int] = {
+    val out = new Array[Int](seqs.map(_.length).sum)
+    var at = 0
+    seqs.foreach(_.foreach { v => out(at) = v; at += 1 })
+    out
+  }
+
+  /** See [[RegionGraphIndex.adjacency]]. */
+  private[core] final class Adjacency(val off: Array[Int], val nbr: Array[Int], val row: Array[Int], val dist: Array[Double])
 }
 
 /** Builds the region graph from the clustered regions and the trip set
   * (Section IV-B). One driver-side pass extracts every trip's region
   * segments and keeps the most frequent T-edge paths, inner-region paths
-  * and transfer centers; the B-edge BFS runs on the driver over the full
+  * and transfer centers; the B-edge pass runs on the driver over the full
   * road network. A few hundred training trips are no distributed work.
   */
 object RegionGraph {
@@ -156,20 +324,47 @@ object RegionGraph {
     RegionInfo(region.id, ms, cx, cy, topRts, tcs)
   }
 
-  /** B-edge construction (Section IV-B): multi-source BFS from each region
-    * over the original road network, stopping at vertices of other regions;
-    * connect region pairs not already connected.
+  /** Each vertex's region id, or -1 for none. */
+  def vertexRegions(n: Int, regions: Seq[Clustering.Region]): Array[Int] = {
+    val out = Array.fill(n)(-1)
+    regions.foreach(r => r.members.foreach(out(_) = r.id))
+    out
+  }
+
+  /** B-edge construction (Section IV-B): region pairs joined over the
+    * original road network, ignoring edge direction, by a road edge or by
+    * a chain of vertices in no region, that are not already T-edges; the
+    * keys come sorted. These are the pairs a breadth-first search from each
+    * region's members finds when it stops at other regions' vertices, found
+    * in one pass: every road edge between two regions gives a pair, and
+    * each connected set of region-less vertices is labelled once and pairs
+    * all the regions it touches. `vertexRegion` is [[vertexRegions]].
     */
-  def bEdges(net: RoadNetwork, regions: Seq[Clustering.Region],
-             vertexRegion: Map[Int, Int], existing: Set[(Int, Int)]): Seq[(Int, Int)] = {
+  def bEdges(net: RoadNetwork, vertexRegion: Array[Int], existing: Set[(Int, Int)]): Seq[(Int, Int)] = {
     val found = mutable.Set.empty[(Int, Int)]
-    regions.foreach { r =>
-      val stops = net.bfsUntil(r.members, v => vertexRegion.get(v).exists(_ != r.id))
-      stops.foreach { v =>
-        val rj = vertexRegion(v)
-        val key = if (r.id < rj) (r.id, rj) else (rj, r.id)
-        if (!existing.contains(key)) found += key
+    def pair(a: Int, b: Int): Unit = if (a != b) {
+      val key = if (a < b) (a, b) else (b, a)
+      if (!existing.contains(key)) found += key
+    }
+    net.edges.foreach { e =>
+      val a = vertexRegion(e.src); val b = vertexRegion(e.dst)
+      if (a >= 0 && b >= 0) pair(a, b)
+    }
+    val seen = new Array[Boolean](net.n)
+    val stack = mutable.Stack.empty[Int]
+    for (v0 <- 0 until net.n if vertexRegion(v0) < 0 && !seen(v0)) {
+      val touched = mutable.Set.empty[Int]
+      def visit(v: Int): Unit =
+        if (vertexRegion(v) >= 0) touched += vertexRegion(v)
+        else if (!seen(v)) { seen(v) = true; stack.push(v) }
+      visit(v0)
+      while (stack.nonEmpty) {
+        val u = stack.pop()
+        net.adj(u).foreach(ei => visit(net.edges(ei).dst))
+        net.radj(u).foreach(ei => visit(net.edges(ei).src))
       }
+      val rs = touched.toArray.sorted
+      for (i <- rs.indices; j <- i + 1 until rs.length) pair(rs(i), rs(j))
     }
     found.toSeq.sorted
   }
@@ -183,8 +378,8 @@ object RegionGraph {
 
   /** Assemble the full (pre-preference) region graph on the driver. */
   def build(net: RoadNetwork, trips: Seq[Trip], regions: Seq[Clustering.Region], params: Params): RegionGraphIndex = {
-    val vertexRegion = Clustering.assignment(regions)
-    val rows = trips.map(extract(_, vertexRegion.getOrElse(_, -1), params.maxSegmentsPerTrip))
+    val vertexRegion = vertexRegions(net.n, regions)
+    val rows = trips.map(extract(_, vertexRegion(_), params.maxSegmentsPerTrip))
     val byPath = Ordering.Implicits.seqOrdering[Seq, Int]
     val tPaths = topN(rows.flatMap(_._1).map(r => ((r.ri min r.rj, r.ri max r.rj), r.path)),
       params.topPathsPerTEdge, Ordering.by[Seq[Int], Int](-_.length).orElse(byPath))
@@ -195,9 +390,9 @@ object RegionGraph {
       r.id -> regionInfo(net, r, tcs.getOrElse(r.id, Nil).map(_._1).toArray, params.topKRoadTypes)
     }.toMap
     val tEdgeMap = tPaths.map { case ((u, v), ps) => (u, v) -> RegionEdgeData(u, v, isT = true, pathRecs(ps), None) }
-    val bKeys = bEdges(net, regions, vertexRegion, tEdgeMap.keySet)
+    val bKeys = bEdges(net, vertexRegion, tEdgeMap.keySet)
     val bEdgeMap = bKeys.map { case (u, v) => (u, v) -> RegionEdgeData(u, v, isT = false, Nil, None) }.toMap
-    new RegionGraphIndex(infos, vertexRegion, tEdgeMap ++ bEdgeMap, inner.view.mapValues(pathRecs).toMap)
+    new RegionGraphIndex(infos, Clustering.assignment(regions), tEdgeMap ++ bEdgeMap, inner.view.mapValues(pathRecs).toMap)
   }
 
   /** Counts equal (key, value) rows and keeps each key's `n` most frequent
@@ -208,10 +403,6 @@ object RegionGraph {
     rows.groupBy(_._1).view.mapValues(_.groupMapReduce(_._2)(_ => 1)(_ + _).toArray.sorted(order).take(n).toSeq).toMap
   }
 
-  /** `toList` boxes every stored path's vertices afresh, so no two stored
-    * paths share vertex objects and the serialised model does not depend on
-    * how the trips overlap.
-    */
   private def pathRecs(ps: Seq[(Seq[Int], Int)]): Seq[PathRec] =
-    ps.map { case (p, c) => PathRec(p.toList, c) }
+    ps.map { case (p, c) => PathRec(p, c) }
 }

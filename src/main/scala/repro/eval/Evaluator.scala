@@ -25,8 +25,8 @@ object Evaluator {
 
   /** InRegion / InOutRegion / OutRegion classification of a query. */
   def categorize(index: RegionGraphIndex, s: Int, d: Int): String = {
-    val a = index.vertexRegion.contains(s)
-    val b = index.vertexRegion.contains(d)
+    val a = index.regionOf(s) >= 0
+    val b = index.regionOf(d) >= 0
     if (a && b) "InRegion" else if (a || b) "InOutRegion" else "OutRegion"
   }
 

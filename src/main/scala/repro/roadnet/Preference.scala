@@ -46,4 +46,16 @@ object Preference {
 
   /** Encode to the flat form; inverse of [[fromIds]]. */
   def toIds(p: Option[Preference]): (Int, Int) = p.fold((-1, -1))(q => (q.masterId, q.slaveRt))
+
+  /** The compact code `masterId * 7 + slaveRt` (slaveRt 0 for none), 0..20
+    * for the slave road types 1..6; codes ascend with (masterId, slaveRt).
+    */
+  def code(p: Preference): Int = {
+    val rt = p.slaveRt
+    if (rt == 0 || rt < -1 || rt > 6) throw new IllegalArgumentException(s"no code for $p: slave road types are 1..6")
+    p.masterId * 7 + math.max(rt, 0)
+  }
+
+  /** Inverse of [[code]]. */
+  def fromCode(c: Int): Preference = Preference(CostType.byId(c / 7), if (c % 7 == 0) None else Some(c % 7))
 }

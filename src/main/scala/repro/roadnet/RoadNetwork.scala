@@ -1,5 +1,7 @@
 package repro.roadnet
 
+import repro.util.CostHeap
+
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
@@ -34,8 +36,7 @@ final class CostColumn private[roadnet] (owner: RoadNetwork, private[roadnet] va
 /** In-memory road network 𝒢 = (𝕍, 𝔼, 𝕎) with adjacency indexes and the
   * search kernels every stage of the pipeline relies on: plain Dijkstra and
   * the paper's preference-aware Dijkstra (Algorithm 2), to one target or to
-  * many, all run by one search loop, and BFS (used for B-edge
-  * construction).
+  * many, all run by one search loop.
   *
   * A search from one source to many targets stops once every target is
   * settled. Costs are non-negative and relaxation is strict, so a settled
@@ -50,10 +51,9 @@ final class CostColumn private[roadnet] (owner: RoadNetwork, private[roadnet] va
   *    the order of `adj`; a [[CostColumn]] built by [[column]] is read as
   *    it is, and any other [[EdgeCost]] is evaluated into a column once per
   *    search;
-  *  - a 1-indexed binary heap of (cost, vertex) with lazy deletion whose
-  *    push and pop make the same comparisons as `mutable.PriorityQueue`
-  *    under reversed cost order, so equal-cost entries pop in the same order
-  *    and every path, trip and learned preference stays as it was;
+  *  - a [[CostHeap]] of (cost, vertex) with lazy deletion, tie-exact with
+  *    `mutable.PriorityQueue` under reversed cost order, so every path, trip
+  *    and learned preference stays as it was;
   *  - a per-thread workspace (distances, parents, epoch stamps for seen
   *    and settled vertices and for targets, the heap) that a new epoch
   *    resets in O(1).
@@ -311,42 +311,18 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     }
     targets.map(t => if (settled(t) == epoch) Some(reconstruct(parent, src, t)) else None)
   }
-
-  /** Multi-source BFS over the undirected topology starting from `sources`,
-    * where expansion stops at (but records) any vertex for which `stopAt`
-    * holds. Returns the set of stop vertices reached. Used by the B-edge
-    * construction: start from a region's members, stop at other regions.
-    */
-  def bfsUntil(sources: Iterable[Int], stopAt: Int => Boolean): Set[Int] = {
-    val seen = new Array[Boolean](n)
-    val stops = mutable.Set.empty[Int]
-    val queue = mutable.Queue.empty[Int]
-    sources.foreach { s => if (!seen(s)) { seen(s) = true; queue.enqueue(s) } }
-    while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      val neigh = adj(u).map(edges(_).dst) ++ radj(u).map(edges(_).src)
-      neigh.foreach { v =>
-        if (!seen(v)) {
-          seen(v) = true
-          if (stopAt(v)) stops += v
-          else queue.enqueue(v)
-        }
-      }
-    }
-    stops.toSet
-  }
 }
 
 object RoadNetwork {
 
-  /** One thread's search state. `dist` and `parent` of a vertex are valid
-    * in the current search iff its `seen` stamp is the current epoch, and it
-    * is settled iff its `settled` stamp is; a target not yet settled has
-    * the negated epoch as its `settled` stamp. A new epoch so resets all of
-    * them in O(1). The heap holds (cost, vertex) in parallel arrays from
-    * index 1.
+  /** One thread's search state: the heap, and per vertex its distance,
+    * parent and stamps. `dist` and `parent` of a vertex are valid in the
+    * current search iff its `seen` stamp is the current epoch, and it is
+    * settled iff its `settled` stamp is; a target not yet settled has the
+    * negated epoch as its `settled` stamp. A new epoch so resets all of them
+    * in O(1).
     */
-  private final class Workspace(n: Int, m: Int) {
+  private final class Workspace(n: Int, m: Int) extends CostHeap(n) {
     val dist = new Array[Double](n)
     val parent = new Array[Int](n)
     val seen = new Array[Int](n)
@@ -354,10 +330,6 @@ object RoadNetwork {
     /** The per-search column of a cost with no column of its own. */
     lazy val column = new Array[Double](m)
     private var epoch = 0
-
-    private var heapCost = new Array[Double](n + 1)
-    private var heapVertex = new Array[Int](n + 1)
-    var size = 0
 
     /** Starts a search with an empty heap and returns its epoch; clears
       * every stamp before the epoch counter would wrap.
@@ -367,50 +339,8 @@ object RoadNetwork {
         java.util.Arrays.fill(seen, 0); java.util.Arrays.fill(settled, 0); epoch = 0
       }
       epoch += 1
-      size = 0
+      clear()
       epoch
-    }
-
-    def minCost: Double = heapCost(1)
-    def minVertex: Int = heapVertex(1)
-
-    /** `PriorityQueue.addOne` under reversed cost order: the new entry rises
-      * while it is strictly cheaper than its parent.
-      */
-    def push(c: Double, v: Int): Unit = {
-      size += 1
-      if (size == heapCost.length) {
-        heapCost = java.util.Arrays.copyOf(heapCost, 2 * size)
-        heapVertex = java.util.Arrays.copyOf(heapVertex, 2 * size)
-      }
-      var k = size
-      while (k > 1 && c < heapCost(k >> 1)) {
-        heapCost(k) = heapCost(k >> 1); heapVertex(k) = heapVertex(k >> 1)
-        k >>= 1
-      }
-      heapCost(k) = c; heapVertex(k) = v
-    }
-
-    /** `PriorityQueue.dequeue` under reversed cost order: the last entry
-      * moves to the root and sinks, taking the right child only when it is
-      * strictly cheaper than the left, and stopping at a child that costs at
-      * least as much as itself.
-      */
-    def pop(): Unit = {
-      val c = heapCost(size); val v = heapVertex(size)
-      size -= 1
-      var k = 1
-      var sinking = true
-      while (sinking && 2 * k <= size) {
-        var j = 2 * k
-        if (j < size && heapCost(j + 1) < heapCost(j)) j += 1
-        if (heapCost(j) >= c) sinking = false
-        else {
-          heapCost(k) = heapCost(j); heapVertex(k) = heapVertex(j)
-          k = j
-        }
-      }
-      heapCost(k) = c; heapVertex(k) = v
     }
   }
 }

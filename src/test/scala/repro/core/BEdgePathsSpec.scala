@@ -28,7 +28,8 @@ class BEdgePathsSpec extends SparkSpec {
   /** `materialise` of B-edges between `regions` under `prefs`. */
   private def bPaths(regions: Seq[RegionInfo], prefs: Map[(Int, Int), Option[Preference]]): Map[(Int, Int), Seq[Seq[Int]]] = {
     val edges = prefs.keys.map { case k @ (a, b) => k -> RegionEdgeData(a, b, isT = false, Nil, None) }.toMap
-    val idx = new RegionGraphIndex(regions.map(r => r.id -> r).toMap, Map.empty, edges, Map.empty)
+    val vertexRegion = regions.flatMap(r => r.members.map(_ -> r.id)).toMap
+    val idx = new RegionGraphIndex(regions.map(r => r.id -> r).toMap, vertexRegion, edges, Map.empty)
     BEdgePaths.materialise(spark, net, idx, prefs).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
   }
 

@@ -1,13 +1,132 @@
 package repro.core
 
 import repro.SparkJobs.jobsOf
-import repro.SparkSpec
+import repro.{Fixtures, SparkSpec}
 import repro.eval.{Evaluator, Scenario, Tables}
+import repro.roadnet.{CostType, Preference}
+
+import scala.collection.mutable
+import scala.util.Random
 
 /** Full-pipeline smoke + quality tests on a small but complete scenario. */
 class EndToEndSpec extends SparkSpec {
 
-  private lazy val sc: Scenario = Scenario.tiny(spark)
+  private lazy val sc: Scenario = Fixtures.tiny
+
+  /** The region search before the index moved to arrays: Dijkstra over the
+    * map views with the library priority queue.
+    */
+  private def refRegionPath(index: RegionGraphIndex, rs: Int, rd: Int): Option[Seq[Int]] = {
+    if (rs == rd) return Some(Seq(rs))
+    val neighbors = mutable.Map.empty[Int, mutable.ArrayBuffer[Int]]
+    index.edges.keys.foreach { case (a, b) =>
+      neighbors.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += b
+      neighbors.getOrElseUpdate(b, mutable.ArrayBuffer.empty) += a
+    }
+    def centroidDist(a: Int, b: Int): Double = {
+      val ra = index.regions(a); val rb = index.regions(b)
+      math.hypot(ra.cx - rb.cx, ra.cy - rb.cy)
+    }
+    val dist = mutable.HashMap(rs -> 0.0)
+    val parent = mutable.HashMap.empty[Int, Int]
+    val done = mutable.Set.empty[Int]
+    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
+    pq.enqueue((0.0, rs))
+    while (pq.nonEmpty) {
+      val (c, r) = pq.dequeue()
+      if (!done.contains(r)) {
+        done += r
+        if (r == rd) {
+          val b = mutable.ArrayBuffer(rd)
+          var cur = rd
+          while (cur != rs) { cur = parent(cur); b += cur }
+          return Some(b.reverse.toSeq)
+        }
+        neighbors.getOrElse(r, Nil).foreach { nb =>
+          val nc = c + centroidDist(r, nb) + 1.0
+          if (nc < dist.getOrElse(nb, Double.PositiveInfinity)) {
+            dist(nb) = nc; parent(nb) = r; pq.enqueue((nc, nb))
+          }
+        }
+      }
+    }
+    None
+  }
+
+  /** The router before the index moved to arrays, over the map views;
+    * `branches` counts the Section VI branches it took.
+    */
+  private final class RefRouter(net: repro.roadnet.RoadNetwork, index: RegionGraphIndex) {
+    val branches = mutable.Map.empty[String, Int].withDefaultValue(0)
+    private val fastestPref = Preference(CostType.TT, None)
+    private def fastest(s: Int, d: Int) = net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
+    private def edgeBetween(a: Int, b: Int) = index.edges.get(if (a < b) (a, b) else (b, a))
+
+    private def innerRoute(r: Int, s: Int, d: Int): Vector[Int] = {
+      val cands = index.innerPaths.getOrElse(r, Nil).flatMap { pr =>
+        val is = pr.verts.indexOf(s); val id = pr.verts.indexOf(d)
+        if (is >= 0 && id > is) Some((pr.count, pr.verts.slice(is, id + 1).toVector)) else None
+      }
+      branches(if (cands.nonEmpty) "inner" else "inner fastest") += 1
+      if (cands.nonEmpty) cands.maxBy(_._1)._2 else fastest(s, d)
+    }
+
+    private def mapRegionPath(s: Int, d: Int, rp: Seq[Int], fp: => Vector[Int]): Vector[Int] = {
+      val reuse = rp.sliding(2).toSeq.flatMap { case Seq(a, b) => edgeBetween(a, b).toSeq.flatMap(_.paths) }
+        .sortBy(-_.count).iterator.flatMap { pr =>
+          val is = pr.verts.indexOf(s); val id = pr.verts.indexOf(d)
+          if (is >= 0 && id > is) Some(pr.verts.slice(is, id + 1).toVector) else None
+        }.nextOption()
+      reuse.foreach { p => branches("reuse") += 1; return p }
+      val votes = rp.sliding(2).toSeq.flatMap { case Seq(a, b) =>
+        edgeBetween(a, b).flatMap(e => e.pref.map(_ -> math.max(1, e.paths.map(_.count).sum)))
+      }
+      if (votes.isEmpty) { branches("no vote") += 1; fp }
+      else {
+        val pref = votes.groupMapReduce(_._1)(_._2)(_ + _).maxBy { case (p, w) => (w, -p.masterId, -p.slaveRt) }._1
+        branches(if (pref == fastestPref) "fastest vote" else if (rp.length == 2) "direct vote" else "multi-edge vote") += 1
+        if (pref == fastestPref) fp else net.prefDijkstra(s, d, pref).getOrElse(fp)
+      }
+    }
+
+    def route(s: Int, d: Int): Vector[Int] = {
+      if (s == d) return Vector(s)
+      val rsOpt = index.vertexRegion.get(s); val rdOpt = index.vertexRegion.get(d)
+      (rsOpt, rdOpt) match {
+        case (Some(rs), Some(rd)) if rs == rd => innerRoute(rs, s, d)
+        case (Some(rs), Some(rd)) =>
+          refRegionPath(index, rs, rd).map(mapRegionPath(s, d, _, fastest(s, d))).getOrElse(fastest(s, d))
+        case _ =>
+          branches("case 2") += 1
+          val fp = fastest(s, d)
+          val rs = rsOpt.orElse(fp.iterator.flatMap(index.vertexRegion.get).nextOption())
+          val rd = rdOpt.orElse(fp.reverseIterator.flatMap(index.vertexRegion.get).nextOption())
+          (rs, rd) match {
+            case (Some(a), Some(b)) if a != b => refRegionPath(index, a, b).map(mapRegionPath(s, d, _, fp)).getOrElse(fp)
+            case _ => fp
+          }
+      }
+    }
+  }
+
+  test("route equals the map-based router on every test trip and 2,000 seeded pairs") {
+    val ref = new RefRouter(sc.net, sc.model.index)
+    val router = sc.model.router(sc.net)
+    val rnd = new Random(29)
+    val pairs = sc.test.map(t => (t.path.head, t.path.last)) ++
+      Seq.fill(2000)((rnd.nextInt(sc.net.n), rnd.nextInt(sc.net.n)))
+    pairs.foreach { case (s, d) => assert(router.route(s, d) === ref.route(s, d), s"$s to $d") }
+    val taken = ref.branches
+    assert(Seq("inner", "inner fastest", "reuse", "direct vote", "multi-edge vote", "fastest vote", "case 2")
+      .forall(taken(_) > 0), taken)
+  }
+
+  test("regionPath equals the library-queue search over the map views for every region pair") {
+    val index = sc.model.index
+    val router = sc.model.router(sc.net)
+    val ids = index.regions.keys.toSeq.sorted
+    for (a <- ids; b <- ids) assert(router.regionPath(a, b) === refRegionPath(index, a, b), s"region $a to $b")
+  }
 
   test("pipeline produces regions, T-edges and B-edges") {
     assert(sc.model.regions.nonEmpty)

@@ -2,13 +2,15 @@ package repro.core
 
 import repro.SparkJobs.jobsOf
 import repro.traj.TrajectoryGen
-import repro.{SparkSpec, TestNets}
+import repro.{Fixtures, SparkSpec, TestNets}
 
-import java.io.{ByteArrayOutputStream, ObjectOutputStream}
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import scala.collection.mutable
+import scala.util.Random
 
 /** `L2RPipeline.fit` as a whole: the model does not depend on how the
-  * training trips are partitioned, and the fit starts no Spark job of its
-  * own.
+  * training trips are partitioned, the fit starts no Spark job of its own,
+  * and the fitted index keeps its digest and its compact serialised form.
   */
 class L2RPipelineSpec extends SparkSpec {
   import spark.implicits._
@@ -38,6 +40,7 @@ class L2RPipelineSpec extends SparkSpec {
     val a = L2RPipeline.fit(spark, net, one)
     val b = L2RPipeline.fit(spark, net, five)
     assert(a.nTEdges > 0 && a.nBEdges > 0)
+    assert(a.digest === b.digest)
     assert(serialise(a.index).sameElements(serialise(b.index)), "serialised RegionGraphIndex differs")
     assert(a.regions === b.regions)
     assert(exact(a.learned) === exact(b.learned))
@@ -50,5 +53,34 @@ class L2RPipelineSpec extends SparkSpec {
     val ds = spark.createDataset(trips)
     // a Dataset of local rows collects without a job
     assert(jobsOf(spark.sparkContext)(L2RPipeline.fit(spark, net, ds)) === 0)
+  }
+
+  test("the tiny scenario's model keeps its pinned digest") {
+    // computed from the map-based index the array layout replaced; a
+    // deliberate model change updates the pin and says why
+    assert(Fixtures.tiny.model.digest === "648b3a2c669142255f15e4b4d8ca1863ade8f9135169965e61192d2ffb2c851a")
+  }
+
+  test("a serialised index holds arrays, not boxed vertices, and reads back to the same routes") {
+    val sc = Fixtures.tiny
+    val classes = mutable.Set.empty[String]
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes) {
+      override def annotateClass(c: Class[_]): Unit = classes += c.getName
+    }
+    out.writeObject(sc.model.index); out.close()
+    assert(classes.contains(classOf[RegionGraphIndex].getName) && classes.contains("[I"), classes)
+    val banned = Set("java.lang.Integer", "scala.collection.immutable.$colon$colon", "scala.Tuple2",
+      "scala.collection.immutable.HashMap")
+    assert((classes & banned).isEmpty, classes)
+
+    val back = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[RegionGraphIndex]
+    assert(L2RPipeline.Model.digest(back) === sc.model.digest)
+    val (a, b) = (sc.model.router(sc.net), new L2RRouter(sc.net, back))
+    val rnd = new Random(23)
+    for (_ <- 0 until 2000) {
+      val s = rnd.nextInt(sc.net.n); val d = rnd.nextInt(sc.net.n)
+      assert(b.route(s, d) === a.route(s, d), s"$s to $d")
+    }
   }
 }

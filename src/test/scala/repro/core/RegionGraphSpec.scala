@@ -1,7 +1,13 @@
 package repro.core
 
+import org.scalacheck.rng.Seed
+import org.scalacheck.{Gen, Prop, Test}
+import repro.roadnet.RoadNetwork
 import repro.traj.Trip
 import repro.{SparkSpec, TestNets}
+
+import scala.collection.mutable
+import scala.util.Random
 
 class RegionGraphSpec extends SparkSpec {
   import spark.implicits._
@@ -152,16 +158,14 @@ class RegionGraphSpec extends SparkSpec {
     // line 0..7; regions {0,1} and {6,7}; middle uncovered
     val net = TestNets.line(8)
     val regions = Seq(Clustering.Region(0, Set(0, 1)), Clustering.Region(1, Set(6, 7)))
-    val vrm = Clustering.assignment(regions)
-    val b = RegionGraph.bEdges(net, regions, vrm, existing = Set.empty)
+    val b = RegionGraph.bEdges(net, RegionGraph.vertexRegions(net.n, regions), existing = Set.empty)
     assert(b === Seq((0, 1)))
   }
 
   test("bEdges do not duplicate existing T-edges") {
     val net = TestNets.line(8)
     val regions = Seq(Clustering.Region(0, Set(0, 1)), Clustering.Region(1, Set(6, 7)))
-    val vrm = Clustering.assignment(regions)
-    assert(RegionGraph.bEdges(net, regions, vrm, existing = Set((0, 1))).isEmpty)
+    assert(RegionGraph.bEdges(net, RegionGraph.vertexRegions(net.n, regions), existing = Set((0, 1))).isEmpty)
   }
 
   test("bEdges stop at the first region encountered (no tunnelling)") {
@@ -169,10 +173,78 @@ class RegionGraphSpec extends SparkSpec {
     val net = TestNets.line(8)
     val regions = Seq(
       Clustering.Region(0, Set(0, 1)), Clustering.Region(1, Set(3, 4)), Clustering.Region(2, Set(6, 7)))
-    val vrm = Clustering.assignment(regions)
-    val b = RegionGraph.bEdges(net, regions, vrm, Set.empty)
+    val b = RegionGraph.bEdges(net, RegionGraph.vertexRegions(net.n, regions), Set.empty)
     assert(b.toSet === Set((0, 1), (1, 2)))
     assert(!b.contains((0, 2)))
+  }
+
+  /** The per-region search `bEdges` replaced: a breadth-first search over
+    * the undirected topology from `sources`, which stops at (and records)
+    * every vertex for which `stopAt` holds.
+    */
+  private def refBfsUntil(net: RoadNetwork, sources: Iterable[Int], stopAt: Int => Boolean): Set[Int] = {
+    val seen = new Array[Boolean](net.n)
+    val stops = mutable.Set.empty[Int]
+    val queue = mutable.Queue.empty[Int]
+    sources.foreach { s => if (!seen(s)) { seen(s) = true; queue.enqueue(s) } }
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      val neigh = net.adj(u).map(net.edges(_).dst) ++ net.radj(u).map(net.edges(_).src)
+      neigh.foreach { v =>
+        if (!seen(v)) {
+          seen(v) = true
+          if (stopAt(v)) stops += v
+          else queue.enqueue(v)
+        }
+      }
+    }
+    stops.toSet
+  }
+
+  /** B-edges as one search per region found them. */
+  private def refBEdges(net: RoadNetwork, regions: Seq[Clustering.Region], existing: Set[(Int, Int)]): Seq[(Int, Int)] = {
+    val vertexRegion = Clustering.assignment(regions)
+    val found = mutable.Set.empty[(Int, Int)]
+    regions.foreach { r =>
+      refBfsUntil(net, r.members, v => vertexRegion.get(v).exists(_ != r.id)).foreach { v =>
+        val rj = vertexRegion(v)
+        val key = if (r.id < rj) (r.id, rj) else (rj, r.id)
+        if (!existing.contains(key)) found += key
+      }
+    }
+    found.toSeq.sorted
+  }
+
+  test("the reference BFS stops at (and reports) stop vertices without passing them") {
+    // 0-1-2-3-4 ; stop at 2 → 3,4 unreachable
+    val line = TestNets.line(5)
+    assert(refBfsUntil(line, Seq(0), v => v == 2) === Set(2))
+    assert(refBfsUntil(line, Seq(0), v => v == 4) === Set(4))
+  }
+
+  test("bEdges equals the per-region BFS on random small networks (scalacheck)") {
+    var disconnected, single, chained = 0
+    val cases = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      net = TestNets.tieNet(new Random(seed))
+      k <- Gen.choose(1, 5)
+      // a vertex is in no region a third of the time; region ids are not 0..k-1
+      of <- Gen.listOfN(net.n, Gen.frequency(1 -> Gen.const(-1), 2 -> Gen.choose(0, k - 1)))
+      existing <- Gen.someOf(for (a <- 0 until k; b <- a + 1 until k) yield (3 * a + 1, 3 * b + 1))
+    } yield (net, (0 until k).map(i => Clustering.Region(3 * i + 1, of.indices.filter(of(_) == i).toSet))
+      .filter(_.members.nonEmpty), existing.toSet)
+    val prop = Prop.forAllNoShrink(cases) { case (net, regions, existing) =>
+      if (TestNets.reachableFrom(net, 0).size < net.n) disconnected += 1
+      if (regions.exists(_.members.size == 1)) single += 1
+      val got = RegionGraph.bEdges(net, RegionGraph.vertexRegions(net.n, regions), existing)
+      val vr = Clustering.assignment(regions)
+      val direct = net.edges.flatMap(e => for (a <- vr.get(e.src); b <- vr.get(e.dst)) yield (a min b, a max b)).toSet
+      if (got.exists(!direct.contains(_))) chained += 1
+      got == refBEdges(net, regions, existing)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, result.status)
+    assert(disconnected > 0 && single > 0 && chained > 0, s"disconnected=$disconnected single=$single chained=$chained")
   }
 
   test("end-to-end build yields a connected region graph") {
