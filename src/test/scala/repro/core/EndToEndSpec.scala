@@ -53,6 +53,24 @@ class EndToEndSpec extends SparkSpec {
     None
   }
 
+  test("regionPath breaks equal-cost ties as the library-queue search does") {
+    // four one-vertex regions on a unit square, joined in a ring: 0 → 3 costs
+    // the same via 1 and via 2, so the neighbour order decides
+    val net = repro.TestNets.custom(Seq((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
+      Seq((0, 1, 1.0, 6), (0, 2, 1.0, 6), (1, 3, 1.0, 6), (2, 3, 1.0, 6)))
+    val regions = (0 until 4).map(i => Clustering.Region(i, Set(i)))
+    val infos = regions.map(r => r.id -> RegionGraph.regionInfo(net, r, Array(r.id), 2)).toMap
+    val keys = Seq((0, 1), (0, 2), (1, 3), (2, 3))
+    val found = for (order <- Seq(keys, keys.reverse)) yield {
+      val edges = order.map { case (a, b) => (a, b) -> RegionEdgeData(a, b, isT = false, Nil, None) }.toMap
+      val index = new RegionGraphIndex(infos, Clustering.assignment(regions), edges, Map.empty)
+      val router = new L2RRouter(net, index)
+      for (a <- 0 until 4; b <- 0 until 4) assert(router.regionPath(a, b) === refRegionPath(index, a, b), s"$order: $a to $b")
+      router.regionPath(0, 3)
+    }
+    assert(found.distinct.size === 2, "the edge order must decide the tie")
+  }
+
   /** The router before the index moved to arrays, over the map views;
     * `branches` counts the Section VI branches it took.
     */
