@@ -43,6 +43,29 @@ object TestNets {
     seen.toSet
   }
 
+  /** The per-region search `RegionGraph.bEdges` replaced (test oracle): a
+    * breadth-first search over the undirected topology from `sources`, which
+    * stops at (and records) every vertex for which `stopAt` holds.
+    */
+  def bfsUntil(net: RoadNetwork, sources: Iterable[Int], stopAt: Int => Boolean): Set[Int] = {
+    val seen = new Array[Boolean](net.n)
+    val stops = mutable.Set.empty[Int]
+    val queue = mutable.Queue.empty[Int]
+    sources.foreach { s => if (!seen(s)) { seen(s) = true; queue.enqueue(s) } }
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      val neigh = net.adj(u).map(net.edges(_).dst) ++ net.radj(u).map(net.edges(_).src)
+      neigh.foreach { v =>
+        if (!seen(v)) {
+          seen(v) = true
+          if (stopAt(v)) stops += v
+          else queue.enqueue(v)
+        }
+      }
+    }
+    stops.toSet
+  }
+
   /** Brute-force lowest-cost path cost via Bellman-Ford (test oracle). */
   def bellmanFordCost(net: RoadNetwork, src: Int, dst: Int, cost: Edge => Double): Double = {
     val dist = Array.fill(net.n)(Double.PositiveInfinity)

@@ -178,48 +178,18 @@ class RegionGraphSpec extends SparkSpec {
     assert(!b.contains((0, 2)))
   }
 
-  /** The per-region search `bEdges` replaced: a breadth-first search over
-    * the undirected topology from `sources`, which stops at (and records)
-    * every vertex for which `stopAt` holds.
-    */
-  private def refBfsUntil(net: RoadNetwork, sources: Iterable[Int], stopAt: Int => Boolean): Set[Int] = {
-    val seen = new Array[Boolean](net.n)
-    val stops = mutable.Set.empty[Int]
-    val queue = mutable.Queue.empty[Int]
-    sources.foreach { s => if (!seen(s)) { seen(s) = true; queue.enqueue(s) } }
-    while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      val neigh = net.adj(u).map(net.edges(_).dst) ++ net.radj(u).map(net.edges(_).src)
-      neigh.foreach { v =>
-        if (!seen(v)) {
-          seen(v) = true
-          if (stopAt(v)) stops += v
-          else queue.enqueue(v)
-        }
-      }
-    }
-    stops.toSet
-  }
-
   /** B-edges as one search per region found them. */
   private def refBEdges(net: RoadNetwork, regions: Seq[Clustering.Region], existing: Set[(Int, Int)]): Seq[(Int, Int)] = {
     val vertexRegion = Clustering.assignment(regions)
     val found = mutable.Set.empty[(Int, Int)]
     regions.foreach { r =>
-      refBfsUntil(net, r.members, v => vertexRegion.get(v).exists(_ != r.id)).foreach { v =>
+      TestNets.bfsUntil(net, r.members, v => vertexRegion.get(v).exists(_ != r.id)).foreach { v =>
         val rj = vertexRegion(v)
         val key = if (r.id < rj) (r.id, rj) else (rj, r.id)
         if (!existing.contains(key)) found += key
       }
     }
     found.toSeq.sorted
-  }
-
-  test("the reference BFS stops at (and reports) stop vertices without passing them") {
-    // 0-1-2-3-4 ; stop at 2 → 3,4 unreachable
-    val line = TestNets.line(5)
-    assert(refBfsUntil(line, Seq(0), v => v == 2) === Set(2))
-    assert(refBfsUntil(line, Seq(0), v => v == 4) === Set(4))
   }
 
   test("bEdges equals the per-region BFS on random small networks (scalacheck)") {

@@ -64,6 +64,14 @@ class RoadNetworkSpec extends SparkSpec {
     }
   }
 
+  test("bfsUntil stops at (and reports) stop vertices without passing them") {
+    // 0-1-2-3-4 ; stop at 2 → 3,4 unreachable
+    val stops = TestNets.bfsUntil(line, Seq(0), v => v == 2)
+    assert(stops === Set(2))
+    val stops2 = TestNets.bfsUntil(line, Seq(0), v => v == 4)
+    assert(stops2 === Set(4))
+  }
+
   test("reachableFrom covers the whole connected grid") {
     assert(TestNets.reachableFrom(grid, 0).size === grid.n)
   }
