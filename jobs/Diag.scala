@@ -27,7 +27,7 @@ object Diag {
     var simDirectMatch = 0.0; var simDirectMiss = 0.0; var missN = 0
     var simMulti = 0.0
     val regionPathLens = scala.collection.mutable.ArrayBuffer.empty[Int]
-    val missByClass = scala.collection.mutable.Map.empty[Option[Preference], scala.collection.mutable.ArrayBuffer[Double]]
+    val missByClass = scala.collection.mutable.Map.empty[Preference, scala.collection.mutable.ArrayBuffer[Double]]
     val missSims = scala.collection.mutable.ArrayBuffer.empty[Double]
     sc.test.foreach { t =>
       val s = t.path.head; val d = t.path.last
@@ -39,7 +39,7 @@ object Diag {
           if (sc.model.index.edges.contains(key)) {
             direct += 1
             val lp = learnedMap.get(key)
-            val m = lp.exists(l => sp.pref.contains(l.pref))
+            val m = lp.exists(_.pref == sp.pref)
             if (m) { directMatch += 1; simDirectMatch += sim }
             else {
               simDirectMiss += sim; missN += 1; missSims += sim
@@ -63,15 +63,15 @@ object Diag {
       val s = missSims.sorted
       println(f"miss sims: p10=${s((s.size - 1) / 10)}%.2f p50=${s(s.size / 2)}%.2f p90=${s((s.size * 9) / 10)}%.2f frac>0.9=${s.count(_ > 0.9).toDouble / s.size}%.2f")
       println("miss by spec class: " + missByClass.toSeq.sortBy(-_._2.size).take(8).map { case (k, xs) =>
-        f"${k.mkString}: n=${xs.size} avg=${xs.sum / xs.size}%.2f"
+        f"$k: n=${xs.size} avg=${xs.sum / xs.size}%.2f"
       }.mkString("  "))
     }
 
     // learned preference distribution vs the spec preference distribution
-    def hist(ps: Seq[Option[Preference]]): String =
+    def hist(ps: Seq[Preference]): String =
       ps.groupBy(identity).view.mapValues(_.size).toSeq.sortBy(-_._2).take(8)
-        .map { case (p, n) => s"${p.mkString}=$n" }.mkString(" ")
-    println("learned prefs:  " + hist(sc.model.learned.map(lp => Some(lp.pref))))
+        .map { case (p, n) => s"$p=$n" }.mkString(" ")
+    println("learned prefs:  " + hist(sc.model.learned.map(_.pref)))
     println("spec prefs:     " + hist(specs.map(_.pref)))
     // fragment lengths of T-edge path sets
     val fragLens = sc.model.index.edges.values.filter(_.isT).flatMap(_.paths.map(_.verts.length)).toSeq
@@ -86,9 +86,9 @@ object Diag {
         case (Some(rs), Some(rd)) if rs != rd =>
           val key = (math.min(rs, rd), math.max(rs, rd))
           learnedMap.get(key).foreach { lp =>
-            if (!sp.pref.contains(lp.pref)) {
+            if (sp.pref != lp.pref) {
               val e = sc.model.index.edges(key)
-              println(f"  miss: spec=${sp.pref.mkString} learned=${lp.pref} " +
+              println(f"  miss: spec=${sp.pref} learned=${lp.pref} " +
                 f"avgSim=${lp.avgSim}%.2f nPaths=${e.paths.size} counts=${e.paths.map(_.count).mkString(",")} " +
                 s"fragLens=${e.paths.map(_.verts.length).mkString(",")}")
               shown += 1

@@ -23,6 +23,9 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
 
   private val FastestCode = Preference.code(Preference(CostType.TT, None))
 
+  /** The per-hop constant of [[regionPath]]'s edge weights, in km. */
+  private val HopPenaltyKm = 1.0
+
   private def fastest(s: Int, d: Int): Vector[Int] =
     net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
 
@@ -31,11 +34,11 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     * multi-hop detours (triangle inequality) and fewer region edges are
     * preferred — the paper's routing intuition.
     */
-  def regionPath(rs: Int, rd: Int, hopPenaltyKm: Double = 1.0): Option[Seq[Int]] =
+  def regionPath(rs: Int, rd: Int): Option[Seq[Int]] =
     if (rs == rd) Some(Seq(rs))
     else {
       val a = index.indexOfRegion(rs); val b = index.indexOfRegion(rd)
-      val rp = if (a < 0 || b < 0) null else searchRegions(a, b, hopPenaltyKm)
+      val rp = if (a < 0 || b < 0) null else searchRegions(a, b)
       Option(rp).map(p => ArraySeq.unsafeWrapArray(p.map(index.regionId(_))))
     }
 
@@ -45,7 +48,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     * library priority queue the search once used, so every region path
     * stays the same.
     */
-  private def searchRegions(a: Int, b: Int, hopPenaltyKm: Double): Array[Int] = {
+  private def searchRegions(a: Int, b: Int): Array[Int] = {
     val adj = index.adjacency
     val dist = Array.fill(index.nRegions)(Double.PositiveInfinity)
     val parent = new Array[Int](index.nRegions)
@@ -69,7 +72,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
         var p = adj.off(r)
         while (p < adj.off(r + 1)) {
           val nb = adj.nbr(p)
-          val nc = c + adj.dist(p) + hopPenaltyKm
+          val nc = c + adj.dist(p) + HopPenaltyKm
           if (nc < dist(nb)) { dist(nb) = nc; parent(nb) = r; heap.push(nc, nb) }
           p += 1
         }
@@ -141,7 +144,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     if (reuse != null) return reuse
 
     // each code's vote: the trajectory support of its region edges, at least 1 each
-    val weight = new Array[Int](21)
+    val weight = new Array[Int](Preference.all.length)
     var voted = false
     rows.foreach { e =>
       val code = index.edgePref(e)
@@ -169,7 +172,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
       if (rs == rd) innerRouteAt(rs, s, d) // Case 1, same region: most-traversed inner path
       else {
         // Case 1, different regions: route on the region graph
-        val rp = searchRegions(rs, rd, 1.0)
+        val rp = searchRegions(rs, rd)
         if (rp != null) mapRegionPath(s, d, rp, fastest(s, d)) else fastest(s, d)
       }
     } else {
@@ -181,7 +184,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
       val b = if (rd >= 0) rd else fp.reverseIterator.map(index.regionIndexOf).find(_ >= 0).getOrElse(-1)
       if (a < 0 || b < 0 || a == b) fp
       else {
-        val rp = searchRegions(a, b, 1.0)
+        val rp = searchRegions(a, b)
         if (rp != null) mapRegionPath(s, d, rp, fp) else fp
       }
     }

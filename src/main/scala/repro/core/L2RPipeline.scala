@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.roadnet.{Preference, RoadNetwork}
+import repro.roadnet.RoadNetwork
 import repro.traj.Trip
 
 import java.io.{DataOutputStream, OutputStream}
@@ -73,8 +73,7 @@ object L2RPipeline {
       out.writeInt(edges.size)
       edges.foreach { case ((a, b), e) =>
         out.writeInt(a); out.writeInt(b); out.writeInt(e.ri); out.writeInt(e.rj); out.writeBoolean(e.isT)
-        val (m, s) = Preference.toIds(e.pref)
-        out.writeInt(m); out.writeInt(s)
+        out.writeInt(e.pref.fold(-1)(_.masterId)); out.writeInt(e.pref.fold(-1)(_.slaveRt))
         paths(e.paths)
       }
       val inner = index.innerPaths.toSeq.sortBy(_._1)

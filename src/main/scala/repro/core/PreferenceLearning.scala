@@ -28,31 +28,27 @@ object PreferenceLearning {
     */
   final case class TEdgePaths(ri: Int, rj: Int, paths: Seq[Seq[Int]], counts: Seq[Int])
 
-  /** A learned preference in [[Preference]]'s flat form. */
-  final case class LearnedPref(ri: Int, rj: Int, masterId: Int, slaveRt: Int, avgSim: Double) {
-    def pref: Preference = Preference.fromIds(masterId, slaveRt).get
+  /** The preference learned for T-edge (ri, rj), with its average Eq. 1
+    * similarity over the edge's trajectories.
+    */
+  final case class LearnedPref(ri: Int, rj: Int, pref: Preference, avgSim: Double) {
     def key: (Int, Int) = if (ri < rj) (ri, rj) else (rj, ri)
+    /** `pref.masterId`; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    def masterId: Int = pref.masterId
+    /** `pref.slaveRt`; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    def slaveRt: Int = pref.slaveRt
   }
 
   /** Learned preferences keyed by their region edge's (min, max) key. */
   def byKey(learned: Seq[LearnedPref]): Map[(Int, Int), LearnedPref] =
     learned.map(lp => lp.key -> lp).toMap
 
-  /** Road types usable as slave features (the 6 OSM classes). */
-  val slaveRts: Seq[Int] = 1 to 6
-
-  /** The preferences a path is scored under: every master with no slave
-    * or one of [[slaveRts]], at index [[Preference.code]].
-    */
-  private val candidates: IndexedSeq[Preference] =
-    for (c <- CostType.all.toIndexedSeq; sl <- None +: slaveRts.map(Some(_))) yield Preference(c, sl)
-
-  /** The stored paths of `tedges` scored under every candidate preference:
+  /** The stored paths of `tedges` scored under every preference:
     * `scores(i)(k)(c)` is path k of T-edge i's count times its Eq. 1
     * similarity to the Algorithm 2 path between its endpoints under
-    * candidate c, 0 when there is none; null for paths shorter than two
-    * vertices. One work item per head vertex, on `threads` driver threads,
-    * runs the many-target searches of every candidate preference.
+    * `Preference.all(c)`, 0 when there is none; null for paths shorter than
+    * two vertices. One work item per head vertex, on `threads` driver
+    * threads, runs the many-target searches of every preference.
     */
   private def pathScores(net: RoadNetwork, tedges: Seq[TEdgePaths], threads: Int): Array[Array[IndexedSeq[Double]]] = {
     val paths = tedges.map(_.paths.toIndexedSeq).toIndexedSeq
@@ -62,7 +58,7 @@ object PreferenceLearning {
       byHead.getOrElseUpdate(paths(i)(k).head, mutable.ArrayBuffer.empty) += ((i, k))
     val items = byHead.toIndexedSeq
     val scored = DriverPool.map(items, threads) { case (head, ps) =>
-      val found = net.prefDijkstraMany(head, ps.map { case (i, k) => paths(i)(k).last }.toIndexedSeq, candidates)
+      val found = net.prefDijkstraMany(head, ps.map { case (i, k) => paths(i)(k).last }.toIndexedSeq, Preference.all)
       ps.indices.map { j =>
         val (i, k) = ps(j)
         val sim1 = new PathSim.Sim1(net, paths(i)(k))
@@ -98,10 +94,10 @@ object PreferenceLearning {
     val (master, masterScore) = ranked.head
 
     // slave dimension, searched under the two best masters
-    val slaveCands = for (m <- ranked.take(2).map(_._1); rt <- slaveRts)
-      yield (Preference(m, Some(rt)), score(Preference(m, Some(rt))))
+    val masters = ranked.take(2).map(_._1)
+    val slaveCands = Preference.all.filter(p => p.slave.isDefined && masters.contains(p.master)).map(p => (p, score(p)))
     val (bestSlavePref, bestSlaveScore) =
-      slaveCands.maxBy { case (p, s) => (s, -p.masterId, -p.slaveRt) }
+      slaveCands.maxBy { case (p, s) => (s, -Preference.code(p)) }
     if (bestSlaveScore > masterScore + 1e-12)
       (bestSlavePref, bestSlaveScore / totalW)
     else
@@ -121,7 +117,7 @@ object PreferenceLearning {
     val scores = pathScores(net, tedges, spark.sparkContext.defaultParallelism)
     tedges.zip(scores).map { case (te, sc) =>
       val (pref, sim) = choose(te, sc)
-      LearnedPref(te.ri, te.rj, pref.masterId, pref.slaveRt, sim)
+      LearnedPref(te.ri, te.rj, pref, sim)
     }
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.roadnet.Preference
+import repro.roadnet.{CostType, Preference}
 import repro.util.LinAlg
 
 import scala.collection.mutable
@@ -27,15 +27,18 @@ import scala.collection.mutable
   */
 object PreferenceTransfer {
 
-  /** Feature description of one region edge. masterId/slaveRt carry the
-    * learned preference of a T-edge (isT) in [[Preference]]'s flat form,
-    * and are ignored for B-edges.
-    * `fpairs` is re.𝔽 encoded as unordered road-type pairs (min*10+max).
+  /** Feature description of one region edge: `dis` is re.dis, `fpairs` is
+    * re.𝔽 encoded as unordered road-type pairs (min*10+max), and `label`
+    * is a T-edge's learned preference. An edge without a label is a B-edge,
+    * a row of Y that starts at zero.
     */
-  final case class REdgeFeat(ri: Int, rj: Int, isT: Boolean, dis: Double,
-                             fpairs: Seq[Int], masterId: Int, slaveRt: Int) {
+  final case class REdgeFeat(ri: Int, rj: Int, dis: Double, fpairs: Seq[Int], label: Option[Preference]) {
     def key: (Int, Int) = if (ri < rj) (ri, rj) else (rj, ri)
-    def pref: Option[Preference] = Preference.fromIds(masterId, slaveRt)
+    def isT: Boolean = label.isDefined
+    /** The label's master id, or -1; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    def masterId: Int = label.fold(-1)(_.masterId)
+    /** The label's slave road type, or -1; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    def slaveRt: Int = label.fold(-1)(_.slaveRt)
   }
 
   /** Encode the Cartesian product of two top-k road-type sets. */
@@ -59,6 +62,20 @@ object PreferenceTransfer {
 
   /** Number of feature columns: 3 master (DI/TT/FC) + 6 slave road types. */
   val P: Int = 9
+
+  /** The Y columns: column c.id (0..2) is master cost type c, and column
+    * x ≥ 3 is slave road type `slaveOf(x)` (1..6).
+    */
+  private def slaveOf(x: Int): Int = x - 2
+
+  /** Whether preference p has the feature of Y column x. */
+  private def hasColumn(p: Preference, x: Int): Boolean =
+    if (x < CostType.all.size) p.master.id == x else p.slave.contains(slaveOf(x))
+
+  /** A slave column is decoded only when its score is at least this
+    * fraction of the master column's.
+    */
+  private val SlaveFraction = 0.25
 
   final case class TransferResult(
       /** region-edge key → transferred preference (None = null preference) */
@@ -128,13 +145,13 @@ object PreferenceTransfer {
   /** Decode one Ŷ row into a preference: master = argmax over cost columns
     * (null when the row is ~0, i.e. the edge is disconnected from every
     * labelled edge); slave = argmax over road-type columns, kept only when
-    * its score is a substantial fraction of the master score.
+    * its score is at least [[SlaveFraction]] of the master score.
     */
-  def decode(row: Array[Double], slaveFraction: Double = 0.25): Option[Preference] = {
-    val masterId = (0 until 3).maxBy(row(_))
-    val slaveCol = (3 until P).maxBy(row(_))
-    if (row(masterId) < 1e-8) None
-    else Preference.fromIds(masterId, if (row(slaveCol) >= slaveFraction * row(masterId)) slaveCol - 2 else -1)
+  def decode(row: Array[Double]): Option[Preference] = {
+    val master = CostType.all.maxBy(c => row(c.id))
+    val slaveCol = (CostType.all.size until P).maxBy(row(_))
+    val slave = if (row(slaveCol) >= SlaveFraction * row(master.id)) Some(slaveOf(slaveCol)) else None
+    if (row(master.id) < 1e-8) None else Some(Preference(master, slave))
   }
 
   /** Run the transduction. T-edge rows of Y are one-hot in their learned
@@ -142,8 +159,7 @@ object PreferenceTransfer {
     * `spark` is unused and kept for callers. Throws when a CG solve fails.
     */
   def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
-               amr: Double = 0.7, mu1: Double = 1.0, mu2: Double = 0.01,
-               slaveFraction: Double = 0.25): TransferResult = {
+               amr: Double = 0.7, mu1: Double = 1.0, mu2: Double = 0.01): TransferResult = {
     val n = feats.length
     val m = similarityGraph(feats, amr)
     val t0 = System.nanoTime()
@@ -158,18 +174,16 @@ object PreferenceTransfer {
     // one solve per Y column; S·Y is Y's T-edge rows (S[i,i] = 1 for T-edges)
     val yHat = Array.fill(n)(new Array[Double](P))
     val solves = (0 until P).map { x =>
-      val b = feats.map(f => if (f.isT && (if (x < 3) f.masterId == x else f.slaveRt == x - 2)) 1.0 else 0.0)
+      val b = feats.map(f => if (f.label.exists(hasColumn(_, x))) 1.0 else 0.0)
       val sol = LinAlg.cg(a, b.toArray)
       for (i <- 0 until n) yHat(i)(x) = sol.x(i)
       sol
     }
     val solveMillis = (System.nanoTime() - t0) / 1000000
 
-    val prefs = feats.zipWithIndex.map { case (f, i) =>
-      f.key -> (if (f.isT) f.pref else decode(yHat(i), slaveFraction))
-    }.toMap
+    val prefs = feats.zipWithIndex.map { case (f, i) => f.key -> f.label.orElse(decode(yHat(i))) }.toMap
     val bRows = feats.zipWithIndex.filterNot(_._1.isT)
-    val nulls = bRows.count { case (f, i) => decode(yHat(i), slaveFraction).isEmpty }
+    val nulls = bRows.count { case (f, i) => decode(yHat(i)).isEmpty }
     val nullRate = if (bRows.isEmpty) 0.0 else nulls.toDouble / bRows.size
     TransferResult(prefs, yHat, nullRate, m.cols.length / 2L, solveMillis,
       solves.map(_.iterations), solves.map(_.relResidual))
@@ -186,10 +200,7 @@ object PreferenceTransfer {
       val a = index.regions(e.ri); val b = index.regions(e.rj)
       val dis = math.hypot(a.cx - b.cx, a.cy - b.cy)
       val fp = fPairs(a.topRts, b.topRts)
-      learned.get(e.key) match {
-        case Some(lp) if e.isT => REdgeFeat(e.ri, e.rj, isT = true, dis, fp, lp.masterId, lp.slaveRt)
-        case _                 => REdgeFeat(e.ri, e.rj, isT = false, dis, fp, -1, -1)
-      }
+      REdgeFeat(e.ri, e.rj, dis, fp, if (e.isT) learned.get(e.key).map(_.pref) else None)
     }
   }
 }

@@ -3,6 +3,7 @@ package repro.eval
 import org.apache.spark.sql.SparkSession
 import repro.core.PreferenceTransfer
 import repro.core.PreferenceTransfer.REdgeFeat
+import repro.roadnet.{CostType, Preference}
 
 /** The Figure 9 experiment: accuracy of preference transfer, evaluated by
   * 5-fold style hold-out over T-edges (the paper's "partitions"). One
@@ -15,13 +16,11 @@ object TransferEval {
   final case class HoldoutResult(accuracy: Double, nullRate: Double, millis: Long, nnz: Long,
                                  nLabelled: Int, nHeldOut: Int)
 
-  /** Jaccard similarity of two preference feature sets {master, slave}. */
-  def prefJaccard(predMaster: Int, predSlave: Int, gtMaster: Int, gtSlave: Int): Double = {
-    def set(m: Int, s: Int): Set[Int] = (if (m >= 0) Set(m) else Set.empty[Int]) ++
-      (if (s >= 0) Set(100 + s) else Set.empty[Int])
-    val a = set(predMaster, predSlave); val b = set(gtMaster, gtSlave)
-    val u = (a union b).size
-    if (u == 0) 1.0 else (a intersect b).size.toDouble / u
+  /** Jaccard similarity of two preferences' feature sets {master, slave}. */
+  def prefJaccard(pred: Preference, gt: Preference): Double = {
+    def features(p: Preference): Set[Either[CostType, Int]] = Set(Left(p.master)) ++ p.slave.map(Right(_))
+    val a = features(pred); val b = features(gt)
+    (a intersect b).size.toDouble / (a union b).size
   }
 
   /** Hold out partition 0 of the T-edge features, label with partitions
@@ -39,13 +38,12 @@ object TransferEval {
     val labelled = tFeats.zip(part).filter { case (_, p) => p >= 1 && p <= nPartsUsed }.map(_._1)
 
     // held-out edges participate unlabelled (preference masked)
-    val feats = (labelled ++ heldOut.map(f => f.copy(isT = false, masterId = -1, slaveRt = -1))).toIndexedSeq
+    val feats = (labelled ++ heldOut.map(_.copy(label = None))).toIndexedSeq
     val res = PreferenceTransfer.transfer(spark, feats, amr, mu1, mu2)
 
     val scores = heldOut.zipWithIndex.map { case (gt, k) =>
       val i = labelled.size + k
-      PreferenceTransfer.decode(res.yHat(i))
-        .fold(0.0)(p => prefJaccard(p.masterId, p.slaveRt, gt.masterId, gt.slaveRt))
+      PreferenceTransfer.decode(res.yHat(i)).fold(0.0)(prefJaccard(_, gt.label.get))
     }
     val acc = if (scores.isEmpty) 0.0 else scores.sum / scores.size
     val nulls = heldOut.zipWithIndex.count { case (_, k) =>

@@ -24,10 +24,11 @@ object CostType {
 
 /** A routing preference vector ⟨master, slave⟩ (Section V-A): minimise the
   * master cost feature while preferring edges whose road type matches the
-  * optional slave feature.
-  *
-  * Records that Spark encodes carry a preference in the flat form
-  * (`masterId`, `slaveRt`); [[Preference.fromIds]] decodes it.
+  * optional slave feature. Records and APIs carry a `Preference`, and an
+  * `Option[Preference]` where a region edge may have none (the null
+  * preference). Where an `Int` must stand for one (a Spark-encoded trip
+  * blueprint, the model's per-edge byte, learning's score table and the
+  * router's vote), it is [[Preference.code]].
   */
 final case class Preference(master: CostType, slave: Option[Int]) {
   def masterId: Int = master.id
@@ -37,25 +38,22 @@ final case class Preference(master: CostType, slave: Option[Int]) {
 }
 
 object Preference {
-  /** Decode the flat form: a `slaveRt` of -1 means no slave feature, a
-    * `masterId` of -1 a null preference.
-    */
-  def fromIds(masterId: Int, slaveRt: Int): Option[Preference] =
-    if (masterId < 0) None
-    else Some(Preference(CostType.byId(masterId), if (slaveRt < 0) None else Some(slaveRt)))
+  /** Road types usable as slave features (the 6 OSM classes). */
+  private val SlaveRts = 1 to 6
 
-  /** Encode to the flat form; inverse of [[fromIds]]. */
-  def toIds(p: Option[Preference]): (Int, Int) = p.fold((-1, -1))(q => (q.masterId, q.slaveRt))
-
-  /** The compact code `masterId * 7 + slaveRt` (slaveRt 0 for none), 0..20
-    * for the slave road types 1..6; codes ascend with (masterId, slaveRt).
+  /** The compact code `masterId * 7 + slave` (0 for no slave), 0..20; codes
+    * ascend with (masterId, slave road type), no slave first.
     */
-  def code(p: Preference): Int = {
-    val rt = p.slaveRt
-    if (rt == 0 || rt < -1 || rt > 6) throw new IllegalArgumentException(s"no code for $p: slave road types are 1..6")
-    p.masterId * 7 + math.max(rt, 0)
+  def code(p: Preference): Int = p.slave match {
+    case None                              => p.masterId * 7
+    case Some(rt) if SlaveRts.contains(rt) => p.masterId * 7 + rt
+    case _ => throw new IllegalArgumentException(s"no code for $p: slave road types are 1..6")
   }
 
   /** Inverse of [[code]]. */
   def fromCode(c: Int): Preference = Preference(CostType.byId(c / 7), if (c % 7 == 0) None else Some(c % 7))
+
+  /** The 21 preferences, in [[code]] order: `all(code(p)) == p`. */
+  val all: IndexedSeq[Preference] =
+    for (c <- CostType.all.toIndexedSeq; sl <- None +: SlaveRts.map(Some(_))) yield Preference(c, sl)
 }

@@ -11,12 +11,11 @@ import repro.roadnet._
 final case class Trip(id: Long, driver: Int, path: Seq[Int], ttActual: Double)
 
 /** A trip blueprint: everything needed to route it deterministically on an
-  * executor holding the broadcast road network. The preference is in
-  * [[Preference]]'s flat form.
+  * executor holding the broadcast road network. Spark encodes blueprints,
+  * so the trip's preference is held as its [[Preference.code]].
   */
-final case class TripSpec(id: Long, driver: Int, src: Int, dst: Int,
-                          masterId: Int, slaveRt: Int, ttFactor: Double) {
-  def pref: Option[Preference] = Preference.fromIds(masterId, slaveRt)
+final case class TripSpec(id: Long, driver: Int, src: Int, dst: Int, prefCode: Int, ttFactor: Double) {
+  def pref: Preference = Preference.fromCode(prefCode)
 }
 
 /** A demand hot-spot: trips start/end near zone centres with Zipf-skewed
@@ -156,7 +155,7 @@ object TrajectoryGen {
         // driver-specific pace × lognormal-ish noise on the observed time
         val ttFactor = (0.85 + 0.4 * unit(mix(cfg.seed + driver))) *
           math.exp(0.1 * (rnd.nextGaussian() min 3.0 max -3.0))
-        out += TripSpec(id, driver, src, dst, pref.masterId, pref.slaveRt, ttFactor)
+        out += TripSpec(id, driver, src, dst, Preference.code(pref), ttFactor)
         id += 1
       }
     }
@@ -165,7 +164,7 @@ object TrajectoryGen {
 
   /** Route one blueprint into a trip (runs on executors). */
   def routeSpec(net: RoadNetwork, s: TripSpec): Option[Trip] = {
-    s.pref.flatMap(net.prefDijkstra(s.src, s.dst, _)).filter(_.length >= 2).map { p =>
+    net.prefDijkstra(s.src, s.dst, s.pref).filter(_.length >= 2).map { p =>
       Trip(s.id, s.driver, p, net.pathCost(p, _.tt) * s.ttFactor)
     }
   }

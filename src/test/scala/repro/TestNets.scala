@@ -84,9 +84,6 @@ object TestNets {
     dist(dst)
   }
 
-  /** Every preference: each master with no slave or one of road types 1–6. */
-  val allPrefs: Seq[Preference] = for (c <- CostType.all; sl <- None +: (1 to 6).map(Some(_))) yield Preference(c, sl)
-
   /** Reversed cost order with IEEE comparisons, the order of the reference
     * search loop below.
     */

@@ -53,7 +53,7 @@ class BEdgePathsSpec extends SparkSpec {
     val regions = Seq(region(0, 0, 1, cols + 1), region(1, 10, 11, cols + 10), region(2, 9 * cols, 9 * cols + 1, 8 * cols),
       region(3, net.n - 2, net.n - 1, 9 * cols - 1), region(4, 5 * cols + 5, 5 * cols + 6, 4 * cols + 6))
     val keys = for (a <- 0 until 5; b <- a + 1 until 5) yield (a, b)
-    val candidates = None +: TestNets.allPrefs.map(Some(_))
+    val candidates = None +: Preference.all.map(Some(_))
     val prefs = keys.zipWithIndex.map { case (k, i) => k -> candidates((3 * i) % candidates.size) }.toMap
       .updated((0, 2), Some(Preference(CostType.DI, None))).updated((0, 3), Some(Preference(CostType.DI, None)))
     val out = bPaths(regions, prefs)

@@ -98,7 +98,7 @@ class PreferenceLearningSpec extends SparkSpec {
     }.sum
     val ranked = CostType.all.map(c => c -> score(Preference(c, None))).sortBy { case (c, s) => (-s, c.id) }
     val (master, masterScore) = ranked.head
-    val slaveCands = for (m <- ranked.take(2).map(_._1); rt <- PreferenceLearning.slaveRts)
+    val slaveCands = for (m <- ranked.take(2).map(_._1); rt <- 1 to 6)
       yield (Preference(m, Some(rt)), score(Preference(m, Some(rt))))
     val (bestSlavePref, bestSlaveScore) = slaveCands.maxBy { case (p, s) => (s, -p.masterId, -p.slaveRt) }
     if (bestSlaveScore > masterScore + 1e-12) (bestSlavePref, bestSlaveScore / totalW)
@@ -108,7 +108,7 @@ class PreferenceLearningSpec extends SparkSpec {
   test("learn equals per-path prefDijkstra scoring when T-edges share heads") {
     val r = new scala.util.Random(41)
     val heads = Seq(0, 37, 100, grid.n - 1)
-    val prefs = TestNets.allPrefs
+    val prefs = Preference.all
     val tedges = (0 until 12).map { i =>
       val ps = Seq.fill(1 + r.nextInt(4)) {
         val s = heads(r.nextInt(heads.size)); val d = r.nextInt(grid.n)

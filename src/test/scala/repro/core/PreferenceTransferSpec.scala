@@ -2,8 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.PreferenceTransfer._
-import repro.roadnet.CostType
-import repro.util.LinAlg
+import repro.roadnet.{CostType, Preference}
+import repro.util.DenseSolve
 
 class PreferenceTransferSpec extends SparkSpec {
 
@@ -49,9 +49,8 @@ class PreferenceTransferSpec extends SparkSpec {
 
   // ------------------------------------------------------------ adjacency
 
-  private def feat(i: Int, isT: Boolean, dis: Double, fp: Seq[Int],
-                   m: Int = -1, s: Int = -1): REdgeFeat =
-    REdgeFeat(i, i + 1000, isT, dis, fp, m, s)
+  private def feat(i: Int, isT: Boolean, dis: Double, fp: Seq[Int]): REdgeFeat =
+    REdgeFeat(i, i + 1000, dis, fp, if (isT) Some(Preference(CostType.TT, None)) else None)
 
   test("adjacency keeps only pairs with similarity ≥ amr") {
     val feats = IndexedSeq(
@@ -106,10 +105,10 @@ class PreferenceTransferSpec extends SparkSpec {
     // re1 (T, ⟨DI,TP1⟩) very similar to re3 (B); re2 (T, ⟨TT,TP2⟩) very
     // similar to re4 (B); cross similarities below amr.
     val feats = IndexedSeq(
-      REdgeFeat(1, 2, isT = true, 4.0, Seq(11), CostType.DI.id, 1),
-      REdgeFeat(3, 4, isT = true, 20.0, Seq(22), CostType.TT.id, 2),
-      REdgeFeat(5, 6, isT = false, 4.2, Seq(11), -1, -1),
-      REdgeFeat(7, 8, isT = false, 21.0, Seq(22), -1, -1))
+      REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.DI, Some(1)))),
+      REdgeFeat(3, 4, 20.0, Seq(22), Some(Preference(CostType.TT, Some(2)))),
+      REdgeFeat(5, 6, 4.2, Seq(11), None),
+      REdgeFeat(7, 8, 21.0, Seq(22), None))
     val res = transfer(spark, feats, amr = 0.7, mu1 = 1.0, mu2 = 0.01)
     val p3 = res.prefs((5, 6)).get
     val p4 = res.prefs((7, 8)).get
@@ -120,8 +119,8 @@ class PreferenceTransferSpec extends SparkSpec {
 
   test("T-edges keep their learned preferences after transfer") {
     val feats = IndexedSeq(
-      REdgeFeat(1, 2, isT = true, 4.0, Seq(11), CostType.FC.id, -1),
-      REdgeFeat(5, 6, isT = false, 4.0, Seq(11), -1, -1))
+      REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.FC, None))),
+      REdgeFeat(5, 6, 4.0, Seq(11), None))
     val res = transfer(spark, feats, 0.7)
     val kept = res.prefs((1, 2)).get
     assert(kept.master === CostType.FC && kept.slave === None)
@@ -129,8 +128,8 @@ class PreferenceTransferSpec extends SparkSpec {
 
   test("disconnected B-edges get a null preference") {
     val feats = IndexedSeq(
-      REdgeFeat(1, 2, isT = true, 1.0, Seq(11), CostType.DI.id, -1),
-      REdgeFeat(5, 6, isT = false, 500.0, Seq(66), -1, -1)) // similarity ≈ 0
+      REdgeFeat(1, 2, 1.0, Seq(11), Some(Preference(CostType.DI, None))),
+      REdgeFeat(5, 6, 500.0, Seq(66), None)) // similarity ≈ 0
     val res = transfer(spark, feats, amr = 0.7)
     assert(res.prefs((5, 6)) === None)
     assert(res.nullRate === 1.0)
@@ -138,17 +137,17 @@ class PreferenceTransferSpec extends SparkSpec {
 
   test("no-slave T-edges transfer no slave") {
     val feats = IndexedSeq(
-      REdgeFeat(1, 2, isT = true, 4.0, Seq(11), CostType.TT.id, -1),
-      REdgeFeat(5, 6, isT = false, 4.0, Seq(11), -1, -1))
+      REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.TT, None))),
+      REdgeFeat(5, 6, 4.0, Seq(11), None))
     val res = transfer(spark, feats, 0.7)
     assert(res.prefs((5, 6)).get.slave === None)
   }
 
   test("yHat probabilities are higher for more similar edges") {
     val feats = IndexedSeq(
-      REdgeFeat(1, 2, isT = true, 4.0, Seq(11), CostType.DI.id, -1),
-      REdgeFeat(5, 6, isT = false, 4.0, Seq(11), -1, -1),   // sim 1.0
-      REdgeFeat(7, 8, isT = false, 5.5, Seq(11), -1, -1))   // sim < 1
+      REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.DI, None))),
+      REdgeFeat(5, 6, 4.0, Seq(11), None),   // sim 1.0
+      REdgeFeat(7, 8, 5.5, Seq(11), None))   // sim < 1
     val res = transfer(spark, feats, amr = 0.5)
     assert(res.yHat(1)(CostType.DI.id) > res.yHat(2)(CostType.DI.id))
   }
@@ -183,21 +182,21 @@ class PreferenceTransferSpec extends SparkSpec {
 
   /** Column x of S·Y: 1 where a T-edge's learned preference has feature x. */
   private def rhs(feats: IndexedSeq[REdgeFeat], x: Int): Array[Double] =
-    feats.map(f => if (f.isT && ((x < 3 && f.masterId == x) || (x >= 3 && f.slaveRt == x - 2))) 1.0 else 0.0).toArray
+    feats.map(f => if (f.label.exists(p => (x < 3 && p.master.id == x) || (x >= 3 && p.slave.contains(x - 2)))) 1.0 else 0.0).toArray
 
   test("transfer solves Eq.3: (S + μ1·L + μ2·I)·Ŷ = S·Y (dense-oracle check)") {
     val feats = IndexedSeq(
-      REdgeFeat(1, 2, isT = true, 4.0, Seq(11, 12), CostType.DI.id, 1),
-      REdgeFeat(3, 4, isT = true, 5.0, Seq(11, 13), CostType.TT.id, -1),
-      REdgeFeat(5, 6, isT = false, 4.4, Seq(11, 12), -1, -1),
-      REdgeFeat(7, 8, isT = false, 5.2, Seq(11, 13), -1, -1))
+      REdgeFeat(1, 2, 4.0, Seq(11, 12), Some(Preference(CostType.DI, Some(1)))),
+      REdgeFeat(3, 4, 5.0, Seq(11, 13), Some(Preference(CostType.TT, None))),
+      REdgeFeat(5, 6, 4.4, Seq(11, 12), None),
+      REdgeFeat(7, 8, 5.2, Seq(11, 13), None))
     val amr = 0.3; val mu1 = 1.0; val mu2 = 0.01
     val res = transfer(spark, feats, amr, mu1, mu2)
     val a = denseA(feats, amr, mu1, mu2)
     for (x <- 0 until P) {
       val b = rhs(feats, x)
       if (b.exists(_ != 0)) {
-        val expect = LinAlg.solveDense(a, b)
+        val expect = DenseSolve.solveDense(a, b)
         for (i <- feats.indices)
           assert(math.abs(res.yHat(i)(x) - expect(i)) < 1e-6,
             s"column $x row $i: cg=${res.yHat(i)(x)} dense=${expect(i)}")
@@ -208,13 +207,16 @@ class PreferenceTransferSpec extends SparkSpec {
   test("transfer on 80 region edges matches the dense oracle, meets the Eq.3 residual and repeats bit for bit") {
     val rnd = new scala.util.Random(21)
     val linked = IndexedSeq.tabulate(70) { k =>
-      val isT = k % 3 != 2
-      REdgeFeat(k, k + 1000, isT, 1.0 + rnd.nextInt(12) * 0.5 + rnd.nextDouble() * 0.2,
-        Seq(11 + rnd.nextInt(3), 22 + rnd.nextInt(3)).distinct,
-        if (isT) rnd.nextInt(3) else -1, if (isT && rnd.nextBoolean()) 1 + rnd.nextInt(6) else -1)
+      val dis = 1.0 + rnd.nextInt(12) * 0.5 + rnd.nextDouble() * 0.2
+      val fp = Seq(11 + rnd.nextInt(3), 22 + rnd.nextInt(3)).distinct
+      val label = if (k % 3 == 2) None else {
+        val master = CostType.byId(rnd.nextInt(3))
+        Some(Preference(master, if (rnd.nextBoolean()) Some(1 + rnd.nextInt(6)) else None))
+      }
+      REdgeFeat(k, k + 1000, dis, fp, label)
     }
     // B-edges with no neighbours: their diagonal is μ₂ alone
-    val isolated = IndexedSeq.tabulate(10)(k => REdgeFeat(2000 + k, 3000 + k, isT = false, 1e4 * (k + 1), Seq(100 + k), -1, -1))
+    val isolated = IndexedSeq.tabulate(10)(k => REdgeFeat(2000 + k, 3000 + k, 1e4 * (k + 1), Seq(100 + k), None))
     val feats = linked ++ isolated
     val amr = 0.6; val mu1 = 1.0; val mu2 = 0.01
     assert(adjacency(spark, feats, amr).forall { case (i, j, _) => i < linked.size && j < linked.size })
@@ -222,7 +224,7 @@ class PreferenceTransferSpec extends SparkSpec {
     val a = denseA(feats, amr, mu1, mu2)
     for (x <- 0 until P) {
       val b = rhs(feats, x)
-      val expect = LinAlg.solveDense(a, b)
+      val expect = DenseSolve.solveDense(a, b)
       for (i <- feats.indices)
         assert(math.abs(res.yHat(i)(x) - expect(i)) < 1e-8, s"column $x row $i: cg=${res.yHat(i)(x)} dense=${expect(i)}")
       val r = feats.indices.map(i => feats.indices.map(j => a(i)(j) * res.yHat(j)(x)).sum - b(i))

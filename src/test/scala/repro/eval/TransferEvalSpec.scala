@@ -2,25 +2,40 @@ package repro.eval
 
 import repro.SparkSpec
 import repro.core.PreferenceTransfer.REdgeFeat
-import repro.roadnet.CostType
+import repro.roadnet.{CostType, Preference}
+import repro.roadnet.CostType.{DI, FC, TT}
 
 class TransferEvalSpec extends SparkSpec {
 
   test("prefJaccard: identical preferences score 1") {
-    assert(TransferEval.prefJaccard(0, 3, 0, 3) === 1.0)
-    assert(TransferEval.prefJaccard(1, -1, 1, -1) === 1.0)
+    assert(TransferEval.prefJaccard(Preference(DI, Some(3)), Preference(DI, Some(3))) === 1.0)
+    assert(TransferEval.prefJaccard(Preference(TT, None), Preference(TT, None)) === 1.0)
   }
 
   test("prefJaccard: same master, different slave scores 1/3") {
-    assert(math.abs(TransferEval.prefJaccard(0, 1, 0, 2) - 1.0 / 3) < 1e-12)
+    assert(math.abs(TransferEval.prefJaccard(Preference(DI, Some(1)), Preference(DI, Some(2))) - 1.0 / 3) < 1e-12)
   }
 
   test("prefJaccard: disjoint preferences score 0") {
-    assert(TransferEval.prefJaccard(0, 1, 1, 2) === 0.0)
+    assert(TransferEval.prefJaccard(Preference(DI, Some(1)), Preference(TT, Some(2))) === 0.0)
   }
 
   test("prefJaccard: master-only vs master+slave") {
-    assert(math.abs(TransferEval.prefJaccard(2, -1, 2, 4) - 0.5) < 1e-12)
+    assert(math.abs(TransferEval.prefJaccard(Preference(FC, None), Preference(FC, Some(4))) - 0.5) < 1e-12)
+  }
+
+  /** The integer-set Jaccard over the flat (masterId, slaveRt) form, -1 for none. */
+  private def intJaccard(predMaster: Int, predSlave: Int, gtMaster: Int, gtSlave: Int): Double = {
+    def set(m: Int, s: Int): Set[Int] = (if (m >= 0) Set(m) else Set.empty[Int]) ++
+      (if (s >= 0) Set(100 + s) else Set.empty[Int])
+    val a = set(predMaster, predSlave); val b = set(gtMaster, gtSlave)
+    val u = (a union b).size
+    if (u == 0) 1.0 else (a intersect b).size.toDouble / u
+  }
+
+  test("prefJaccard equals the integer-set Jaccard on every pair of preferences") {
+    for (p <- Preference.all; g <- Preference.all)
+      assert(TransferEval.prefJaccard(p, g) === intJaccard(p.masterId, p.slaveRt, g.masterId, g.slaveRt), s"$p vs $g")
   }
 
   /** Clustered synthetic T-edge features: edges in the same cluster share
@@ -31,11 +46,9 @@ class TransferEvalSpec extends SparkSpec {
     (0 until nClusters).flatMap { c =>
       val dis = 2.0 + c * 3.0
       val fp = Seq(11 + c, 33 + c)
-      val master = c % 3
-      val slave = if (c % 2 == 0) 1 + c % 6 else -1
+      val label = Preference(CostType.byId(c % 3), if (c % 2 == 0) Some(1 + c % 6) else None)
       (0 until perCluster).map { k =>
-        REdgeFeat(c * 100 + k, c * 100 + k + 50, isT = true,
-          dis * (1.0 + 0.02 * rnd.nextDouble()), fp, master, slave)
+        REdgeFeat(c * 100 + k, c * 100 + k + 50, dis * (1.0 + 0.02 * rnd.nextDouble()), fp, Some(label))
       }
     }.toIndexedSeq
   }
@@ -70,7 +83,7 @@ class TransferEvalSpec extends SparkSpec {
   }
 
   test("holdout rejects B-edge inputs") {
-    val bad = IndexedSeq(REdgeFeat(1, 2, isT = false, 1.0, Seq(11), -1, -1))
+    val bad = IndexedSeq(REdgeFeat(1, 2, 1.0, Seq(11), None))
     intercept[IllegalArgumentException] {
       TransferEval.holdout(spark, bad, 2, 0.7)
     }

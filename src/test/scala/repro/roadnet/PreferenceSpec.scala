@@ -2,21 +2,25 @@ package repro.roadnet
 
 import repro.SparkSpec
 
-/** The flat (masterId, slaveRt) codec of [[Preference]]. */
+/** [[Preference.code]], the one integer form of a [[Preference]]. */
 class PreferenceSpec extends SparkSpec {
 
-  private val all = for (c <- CostType.all; s <- None +: (1 to 6).map(Some(_))) yield Preference(c, s)
-
-  test("fromIds inverts (masterId, slaveRt) for all 21 preferences") {
-    assert(all.distinct.size === 21)
-    all.foreach { p =>
-      assert(Preference.fromIds(p.masterId, p.slaveRt) === Some(p))
-      assert(Preference.toIds(Some(p)) === ((p.masterId, p.slaveRt)))
-    }
+  test("Preference.all holds the 21 preferences, and fromCode inverts code on each") {
+    val expect = for (c <- CostType.all; s <- None +: (1 to 6).map(Some(_))) yield Preference(c, s)
+    assert(Preference.all.toSet === expect.toSet)
+    assert(Preference.all.distinct.size === 21)
+    Preference.all.foreach(p => assert(Preference.fromCode(Preference.code(p)) === p))
   }
 
-  test("a master of -1 decodes to the null preference") {
-    for (rt <- -1 to 6) assert(Preference.fromIds(-1, rt) === None)
-    assert(Preference.toIds(None) === ((-1, -1)))
+  test("codes ascend with (masterId, slaveRt), and Preference.all is in code order") {
+    // learning's score table and the router's vote tie rule index by code
+    val byIds = Preference.all.sortBy(p => (p.masterId, p.slaveRt))
+    assert(byIds.map(Preference.code) === (0 until 21))
+    assert(Preference.all.map(Preference.code) === (0 until 21))
+  }
+
+  test("code throws for slave road types 0 and 7") {
+    for (c <- CostType.all; rt <- Seq(0, 7))
+      intercept[IllegalArgumentException](Preference.code(Preference(c, Some(rt))))
   }
 }

@@ -15,7 +15,7 @@ import scala.util.Random
   */
 class SearchKernelSpec extends SparkSpec {
 
-  private val prefs = TestNets.allPrefs
+  private val prefs = Preference.all
   private val lambda: EdgeCost = e => e.dist + 2 * e.tt * (e.rt % 2)
 
   test("the kernel returns the replaced loop's exact path on tie-heavy random networks") {

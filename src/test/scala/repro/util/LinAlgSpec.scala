@@ -41,7 +41,7 @@ class LinAlgSpec extends SparkSpec {
       val a = randomSpd(n, rnd)
       val b = Array.fill(n)(rnd.nextDouble())
       val cg = LinAlg.cg(csr(a), b)
-      val ge = LinAlg.solveDense(a, b)
+      val ge = DenseSolve.solveDense(a, b)
       cg.x.zip(ge).foreach { case (x, y) => assert(math.abs(x - y) < 1e-7) }
       assert(cg.iterations >= 1 && cg.iterations <= n + 5)
       assert(cg.relResidual <= 1e-9)
@@ -69,14 +69,14 @@ class LinAlgSpec extends SparkSpec {
 
   test("solveDense handles permutation-needing pivots") {
     val a = Array(Array(0.0, 1.0), Array(1.0, 0.0))
-    val x = LinAlg.solveDense(a, Array(3.0, 5.0))
+    val x = DenseSolve.solveDense(a, Array(3.0, 5.0))
     assert(math.abs(x(0) - 5.0) < 1e-12 && math.abs(x(1) - 3.0) < 1e-12)
   }
 
   test("solveDense rejects singular systems") {
     val a = Array(Array(1.0, 1.0), Array(2.0, 2.0))
     intercept[IllegalArgumentException] {
-      LinAlg.solveDense(a, Array(1.0, 2.0))
+      DenseSolve.solveDense(a, Array(1.0, 2.0))
     }
   }
 }
