@@ -14,7 +14,7 @@ class GoogleBench extends SparkSpec {
   private def run(s: repro.eval.Scenario): Unit = {
     val (byDist, byCat, txt) = Tables.accuracyTables(spark, s, Seq("L2R", "Google"))
     println(s"=== ${s.name} ===\n" + txt)
-    val overall = Tables.overall(byDist)
+    val overall = Tables.overall(byDist, _.sim1)
     assert(overall("L2R") > overall("Google"),
       s"L2R=${overall("L2R")} must beat Google=${overall("Google")}")
     // Google's accuracy is decent but not perfect (commercial heuristic)

@@ -20,11 +20,12 @@ class RoutingAccuracyBench extends SparkSpec {
 
   private val algos = Seq("L2R", "Shortest", "Fastest", "Dom", "TRIP")
 
-  private def run(s: repro.eval.Scenario): Unit = {
+  /** Prints and checks the tables of `s`; returns its rows by distance. */
+  private def run(s: repro.eval.Scenario): Seq[Tables.AccRow] = {
     val (byDist, byCat, txt) = Tables.accuracyTables(spark, s, algos)
     println(s"=== ${s.name}: ${s.test.size} test queries ===\n" + txt)
-    val overall = Tables.overall(byDist)
-    val latency = Tables.overallLatency(byDist)
+    val overall = Tables.overall(byDist, _.sim1)
+    val latency = Tables.overall(byDist, _.micros)
     println(f"Overall Eq.1 accuracy: ${overall.toSeq.sortBy(-_._2).map { case (a, v) => f"$a=$v%.3f" }.mkString("  ")}")
     println(f"Overall latency µs:    ${latency.toSeq.sortBy(_._2).map { case (a, v) => f"$a=$v%.0f" }.mkString("  ")}")
     val (g, l, t, a) = s.model.stageMillis
@@ -40,21 +41,18 @@ class RoutingAccuracyBench extends SparkSpec {
     assert(latency("Dom") > 2.0 * latency("Fastest"), s"$latency")
     // TRIP runs in Fastest-like time (same asymptotics)
     assert(latency("TRIP") < latency("Dom"), s"$latency")
+    byDist
   }
 
   test("Figs 10–12: D2-lite comparison") { run(BenchScenarios.d2) }
 
   test("Figs 10–12: D1-lite comparison") {
     val s = BenchScenarios.d1
-    run(s)
+    val byDist = run(s)
     // D1-specific shape: for long trips Fastest clearly beats Shortest
-    val (byDist, _, _) = Tables.accuracyTables(spark, s, Seq("Shortest", "Fastest"))
     val longBuckets = Tables.buckets(s.bounds).drop(1) // ≥ 10 km
-    val f = byDist.filter(r => longBuckets.contains(r.key))
-    val fast = f.filter(_.algo == "Fastest")
-    val short = f.filter(_.algo == "Shortest")
-    val fAvg = fast.map(r => r.sim1 * r.n).sum / math.max(1.0, fast.map(_.n).sum)
-    val sAvg = short.map(r => r.sim1 * r.n).sum / math.max(1.0, short.map(_.n).sum)
+    val long = Tables.overall(byDist.filter(r => longBuckets.contains(r.key)), _.sim1)
+    val (fAvg, sAvg) = (long("Fastest"), long("Shortest"))
     assert(fAvg > sAvg, f"long-distance: Fastest=$fAvg%.3f must beat Shortest=$sAvg%.3f")
   }
 }

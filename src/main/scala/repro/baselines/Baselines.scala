@@ -98,7 +98,8 @@ object Dom {
                         maxLabelsPerVertex: Int = 6, eps: Double = 0.02) extends Router {
     val name = "Dom"
 
-    private final case class Label(v: Int, di: Double, tt: Double, fc: Double, parent: Label) {
+    /** Compared by reference: "still in its bucket" means this very label. */
+    private final class Label(val v: Int, val di: Double, val tt: Double, val fc: Double, val parent: Label) {
       def dominates(o: Label): Boolean =
         di <= o.di * (1 + eps) && tt <= o.tt * (1 + eps) && fc <= o.fc * (1 + eps) &&
           (di < o.di || tt < o.tt || fc < o.fc)
@@ -116,7 +117,7 @@ object Dom {
         w(0) * di / opt(0) + w(1) * tt / opt(1) + w(2) * fc / opt(2)
       val labels = mutable.Map.empty[Int, mutable.ArrayBuffer[Label]]
       val pq = mutable.PriorityQueue.empty[(Double, Label)](Ordering.by[(Double, Label), Double](_._1).reverse)
-      val start = Label(s, 0, 0, 0, null)
+      val start = new Label(s, 0, 0, 0, null)
       labels.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += start
       pq.enqueue((0.0, start))
       val dstLabels = mutable.ArrayBuffer.empty[Label]
@@ -127,7 +128,7 @@ object Dom {
           if (l.v == d) dstLabels += l
           else net.adj(l.v).foreach { ei =>
             val e = net.edges(ei)
-            val nl = Label(e.dst, l.di + e.dist, l.tt + e.tt, l.fc + e.fc, l)
+            val nl = new Label(e.dst, l.di + e.dist, l.tt + e.tt, l.fc + e.fc, l)
             val nb = labels.getOrElseUpdate(e.dst, mutable.ArrayBuffer.empty)
             if (!nb.exists(_.dominates(nl))) {
               nb.filterInPlace(ex => !nl.dominates(ex))

@@ -35,13 +35,15 @@ object BEdgePaths {
 
   /** Materialise paths for all B-edges of the index, returning a new index
     * whose B-edges carry paths (count 0 ⇒ synthetic, not trajectory-backed)
-    * and preferences. A B-edge's paths are those between its transfer-center
-    * pairs (s, d), s ≠ d, source-major, without repeats.
+    * and preferences, with the edge rows in the same order. A B-edge's paths
+    * are those between its transfer-center pairs (s, d), s ≠ d, source-major,
+    * without repeats.
     */
   def materialise(spark: SparkSession, net: RoadNetwork, index: RegionGraphIndex,
                   prefs: Map[(Int, Int), Option[Preference]],
                   tcsPerSide: Int = 2): RegionGraphIndex = {
-    val plans = index.edges.values.filterNot(_.isT).toSeq.map { e =>
+    val rows = index.edgeRows
+    val plans = rows.filterNot(_.isT).map { e =>
       val a = index.regions(e.ri); val b = index.regions(e.rj)
       val pref = prefs.getOrElse(e.key, None).getOrElse(Preference(CostType.TT, None))
       val pairs = for (s <- pickTcs(net, a, b, tcsPerSide); d <- pickTcs(net, b, a, tcsPerSide) if s != d) yield (s, d)
@@ -64,12 +66,10 @@ object BEdgePaths {
         .filter(_.length >= 2).distinct.map(PathRec(_, 0))
     }.toMap
 
-    val newEdges = index.edges.map {
-      case (k, e) if !e.isT =>
-        k -> e.copy(paths = results(k), pref = prefs.getOrElse(k, None))
-      case (k, e) =>
-        k -> e.copy(pref = prefs.getOrElse(k, e.pref))
+    val newRows = rows.map { e =>
+      if (e.isT) e.copy(pref = prefs.getOrElse(e.key, e.pref))
+      else e.copy(paths = results(e.key), pref = prefs.getOrElse(e.key, None))
     }
-    new RegionGraphIndex(index.regions, index.vertexRegion, newEdges, index.innerPaths)
+    new RegionGraphIndex(index.regions.values.toSeq, newRows, index.innerPaths)
   }
 }

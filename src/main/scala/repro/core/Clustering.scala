@@ -142,8 +142,4 @@ object Clustering {
   /** Modularity gain ΔQ of merging two adjacent clusters (the merge test of `cluster`). */
   def modularityGain(sij: Double, si: Double, sj: Double, s: Double): Double =
     sij / s - si * sj / (s * s)
-
-  /** vertex → region id lookup. */
-  def assignment(regions: Seq[Region]): Map[Int, Int] =
-    regions.flatMap(r => r.members.map(_ -> r.id)).toMap
 }

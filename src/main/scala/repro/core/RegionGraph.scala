@@ -40,77 +40,63 @@ final case class RegionEdgeData(
 /** The routing infrastructure of Section IV: region vertices, region edges
   * and their stored paths, and inner-region paths, held in primitive arrays.
   *
-  * The serialised fields are arrays only:
+  * Built from the regions, in any order, the edge rows and each region's
+  * inner paths. It rejects a negative or repeated region id, a repeated
+  * edge key, an edge to an unknown region and inner paths of an unknown
+  * region. The serialised fields are arrays only:
   *  - the regions by ascending id (`regionId`, centroid `cx`/`cy`), with
   *    three concatenated lists and their offsets (region i's entries are
   *    positions off(i) until off(i + 1)): top road types, members and
   *    transfer centres;
-  *  - one row per region edge, in the iteration order of the map it was
-  *    built from: endpoints, isT and a preference code (-1 for none, else
-  *    [[Preference.code]]);
+  *  - one row per region edge, in the order given: endpoints, isT and a
+  *    preference code (-1 for none, else [[Preference.code]]);
   *  - every stored path as a range of one vertex array (`pathOff`,
   *    `pathVert`), with its trajectory count, in path groups: group e < E
   *    holds edge row e's paths and group E + i region i's inner paths, the
   *    paths `groupOff(g)` until `groupOff(g + 1)`.
   *
-  * Derived on first use and never serialised: the vertex → region array,
-  * the region adjacency as CSR (each region's neighbours in edge-row
-  * order, which fixes the region search's ties, with the edge row and the
-  * centroid distance), and the map views `regions`, `vertexRegion`, `edges`
-  * and `innerPaths`. The views hold the contents of the maps the index was
-  * built from. `edges` iterates in their order; the others do too when
-  * those maps came in id order or hold more than four entries (the order
-  * of an immutable hash map depends on its keys alone). The router
-  * ([[L2RRouter]]) reads only the arrays.
+  * Derived on first use and never serialised: the vertex → region array
+  * (from the members), the region adjacency as CSR (each region's
+  * neighbours in edge-row order, which fixes the region search's ties,
+  * with the edge row and the centroid distance), and the map views
+  * `regions`, `vertexRegion`, `edges` and `innerPaths`. A view of at most
+  * four entries iterates in id or row order, a larger one in hash order
+  * (the order of an immutable hash map depends on its keys alone);
+  * `edgeRows` reads the rows in row order. The router ([[L2RRouter]])
+  * reads only the arrays.
   */
 @SerialVersionUID(1L)
-final class RegionGraphIndex private (
-    private[core] val regionId: Array[Int],
-    cx: Array[Double],
-    cy: Array[Double],
-    topRtOff: Array[Int],
-    topRt: Array[Int],
-    memberOff: Array[Int],
-    member: Array[Int],
-    tcOff: Array[Int],
-    tc: Array[Int],
-    private[core] val edgeRi: Array[Int],
-    private[core] val edgeRj: Array[Int],
-    edgeIsT: Array[Boolean],
-    private[core] val edgePref: Array[Byte],
-    private[core] val groupOff: Array[Int],
-    private[core] val pathOff: Array[Int],
-    private[core] val pathVert: Array[Int],
-    private[core] val pathCount: Array[Int]) extends Serializable {
+final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Map[Int, Seq[PathRec]])
+    extends Serializable {
+  import RegionGraphIndex.pathGroups
 
-  /** Regions sorted by id, edge rows, the path groups and their paths. */
-  private def this(infos: Array[RegionInfo], rows: Array[RegionEdgeData], groups: Array[Seq[PathRec]],
-                   paths: Array[PathRec]) = this(
-    infos.map(_.id), infos.map(_.cx), infos.map(_.cy),
-    infos.map(_.topRts.length).scanLeft(0)(_ + _), infos.flatMap(_.topRts),
-    infos.map(_.members.length).scanLeft(0)(_ + _), infos.flatMap(_.members),
-    infos.map(_.transferCenters.length).scanLeft(0)(_ + _), infos.flatMap(_.transferCenters),
-    rows.map(_.ri), rows.map(_.rj), rows.map(_.isT), rows.map(e => e.pref.fold(-1)(Preference.code).toByte),
-    groups.map(_.length).scanLeft(0)(_ + _),
-    paths.map(_.verts.length).scanLeft(0)(_ + _), RegionGraphIndex.concat(paths.map(_.verts)), paths.map(_.count))
+  /** The regions by ascending id; read while constructing only. */
+  @transient private[this] val byId: Array[RegionInfo] = infos.toArray.sortBy(_.id)
 
-  private def this(infos: Array[RegionInfo], rows: Array[RegionEdgeData], groups: Array[Seq[PathRec]]) =
-    this(infos, rows, groups, groups.flatten)
+  private[core] val regionId: Array[Int] = byId.map(_.id)
+  require(regionId.headOption.forall(_ >= 0) && regionId.indices.drop(1).forall(i => regionId(i - 1) < regionId(i)),
+    "a region id is negative or repeated")
+  require(rows.map(_.key).distinct.size == rows.size, "an edge key is repeated")
+  require(rows.forall(e => indexOfRegion(e.ri) >= 0 && indexOfRegion(e.rj) >= 0), "an edge joins an unknown region")
+  require(inner.keys.forall(indexOfRegion(_) >= 0), "inner paths of an unknown region")
 
-  /** The index of the maps: `vertexRegion` must be the regions' members'
-    * lookup, and each region and edge must sit under its own key.
-    */
-  def this(regions: Map[Int, RegionInfo], vertexRegion: Map[Int, Int],
-           edges: Map[(Int, Int), RegionEdgeData], innerPaths: Map[Int, Seq[PathRec]]) = {
-    this(regions.values.toArray.sortBy(_.id), edges.values.toArray,
-      edges.values.toArray.map(_.paths) ++ regions.keys.toArray.sorted.map(innerPaths.getOrElse(_, Nil)))
-    require(regions.forall { case (id, r) => r.id == id && id >= 0 }, "a region id is negative or not its key")
-    require(edges.forall { case (k, e) => k == e.key && regions.contains(e.ri) && regions.contains(e.rj) },
-      "an edge sits under another key or joins an unknown region")
-    require(innerPaths.keySet.subsetOf(regions.keySet), "inner paths of an unknown region")
-    require(vertexRegion.size == vertexIndex.count(_ >= 0) && vertexRegion.forall { case (v, r) => regionOf(v) == r },
-      "vertexRegion is not the regions' members' lookup")
-  }
+  private val cx: Array[Double] = byId.map(_.cx)
+  private val cy: Array[Double] = byId.map(_.cy)
+  private val topRtOff: Array[Int] = byId.map(_.topRts.length).scanLeft(0)(_ + _)
+  private val topRt: Array[Int] = byId.flatMap(_.topRts)
+  private val memberOff: Array[Int] = byId.map(_.members.length).scanLeft(0)(_ + _)
+  private val member: Array[Int] = byId.flatMap(_.members)
+  private val tcOff: Array[Int] = byId.map(_.transferCenters.length).scanLeft(0)(_ + _)
+  private val tc: Array[Int] = byId.flatMap(_.transferCenters)
+  private[core] val edgeRi: Array[Int] = rows.map(_.ri).toArray
+  private[core] val edgeRj: Array[Int] = rows.map(_.rj).toArray
+  private val edgeIsT: Array[Boolean] = rows.map(_.isT).toArray
+  private[core] val edgePref: Array[Byte] = rows.map(_.pref.fold(-1)(Preference.code).toByte).toArray
+  private[core] val groupOff: Array[Int] = pathGroups(rows, byId, inner).map(_.length).scanLeft(0)(_ + _).toArray
+  private[core] val pathOff: Array[Int] =
+    pathGroups(rows, byId, inner).flatten.map(_.verts.length).scanLeft(0)(_ + _).toArray
+  private[core] val pathVert: Array[Int] = pathGroups(rows, byId, inner).flatten.flatMap(_.verts).toArray
+  private[core] val pathCount: Array[Int] = pathGroups(rows, byId, inner).flatten.map(_.count).toArray
 
   def nRegions: Int = regionId.length
   def nEdges: Int = edgeRi.length
@@ -123,8 +109,8 @@ final class RegionGraphIndex private (
   }
 
   /** Each vertex's region index, -1 for none; a member of several regions
-    * is the last one's, as in [[Clustering.assignment]], and vertices past
-    * the last member are in none.
+    * is in the one with the largest id, and vertices past the last member
+    * are in none.
     */
   @transient private lazy val vertexIndex: Array[Int] = {
     val out = Array.fill(if (member.isEmpty) 0 else member.max + 1)(-1)
@@ -219,12 +205,14 @@ final class RegionGraphIndex private (
   @transient lazy val vertexRegion: Map[Int, Int] =
     regionId.indices.flatMap(i => (memberOff(i) until memberOff(i + 1)).map(p => member(p) -> regionId(i))).toMap
 
-  /** The region edges by their (min, max) key. */
-  @transient lazy val edges: Map[(Int, Int), RegionEdgeData] = edgeRi.indices.map { e =>
-    val d = RegionEdgeData(edgeRi(e), edgeRj(e), edgeIsT(e), pathRecs(edgePaths(e)),
+  /** The edge rows, in row order. */
+  private[core] def edgeRows: IndexedSeq[RegionEdgeData] = edgeRi.indices.map { e =>
+    RegionEdgeData(edgeRi(e), edgeRj(e), edgeIsT(e), pathRecs(edgePaths(e)),
       if (edgePref(e) < 0) None else Some(Preference.fromCode(edgePref(e))))
-    d.key -> d
-  }.toMap
+  }
+
+  /** The region edges by their (min, max) key. */
+  @transient lazy val edges: Map[(Int, Int), RegionEdgeData] = edgeRows.map(e => e.key -> e).toMap
 
   /** The inner-region paths of every region that has some. */
   @transient lazy val innerPaths: Map[Int, Seq[PathRec]] =
@@ -233,13 +221,13 @@ final class RegionGraphIndex private (
 
 object RegionGraphIndex {
 
-  /** `seqs` end to end. */
-  private def concat(seqs: Array[Seq[Int]]): Array[Int] = {
-    val out = new Array[Int](seqs.map(_.length).sum)
-    var at = 0
-    seqs.foreach(_.foreach { v => out(at) = v; at += 1 })
-    out
-  }
+  /** The path groups: each edge row's paths, then each region's inner paths.
+    * (Here, not in the class, so that `inner` is read by no closure there
+    * and stays a constructor argument, not a serialised field.)
+    */
+  private def pathGroups(rows: Seq[RegionEdgeData], byId: Array[RegionInfo],
+                         inner: Map[Int, Seq[PathRec]]): Iterator[Seq[PathRec]] =
+    rows.iterator.map(_.paths) ++ byId.iterator.map(r => inner.getOrElse(r.id, Nil))
 
   /** See [[RegionGraphIndex.adjacency]]. */
   private[core] final class Adjacency(val off: Array[Int], val nbr: Array[Int], val row: Array[Int], val dist: Array[Double])
@@ -386,13 +374,11 @@ object RegionGraph {
     val inner = topN(rows.flatMap(_._2).map(r => (r.r, r.path)), params.topInnerPerRegion, byPath)
     val tcs = topN(rows.flatMap(_._3).map(r => (r.r, r.v)), params.maxTransferCenters, Ordering.Int)
 
-    val infos = regions.map { r =>
-      r.id -> regionInfo(net, r, tcs.getOrElse(r.id, Nil).map(_._1).toArray, params.topKRoadTypes)
-    }.toMap
+    val infos = regions.map(r => regionInfo(net, r, tcs.getOrElse(r.id, Nil).map(_._1).toArray, params.topKRoadTypes))
     val tEdgeMap = tPaths.map { case ((u, v), ps) => (u, v) -> RegionEdgeData(u, v, isT = true, pathRecs(ps), None) }
     val bKeys = bEdges(net, vertexRegion, tEdgeMap.keySet)
     val bEdgeMap = bKeys.map { case (u, v) => (u, v) -> RegionEdgeData(u, v, isT = false, Nil, None) }.toMap
-    new RegionGraphIndex(infos, Clustering.assignment(regions), tEdgeMap ++ bEdgeMap, inner.view.mapValues(pathRecs).toMap)
+    new RegionGraphIndex(infos, (tEdgeMap ++ bEdgeMap).values.toSeq, inner.view.mapValues(pathRecs).toMap)
   }
 
   /** Counts equal (key, value) rows and keeps each key's `n` most frequent

@@ -61,7 +61,7 @@ object Tables {
     val sb = new StringBuilder
     sb ++= s"Table IV ($label) — region sizes (convex-hull area km² / max diameter km)\n"
     sb ++= f"${"Size (km²)"}%-14s" + out.map(o => f"${o.bucket}%16s").mkString + "\n"
-    sb ++= f"${label}%-14s" + out.map(o => f"${o.n + " (" + f"${o.pct}%.1f" + "%)"}%16s").mkString + "\n"
+    sb ++= f"${label}%-14s" + out.map(o => f"${s"${o.n} (" + f"${o.pct}%.1f" + "%)"}%16s").mkString + "\n"
     sb ++= f"${"max diam"}%-14s" + out.map(o => f"${f"${o.maxDiameterKm}%.1f"}%16s").mkString + "\n"
     (out, sb.toString)
   }
@@ -120,17 +120,10 @@ object Tables {
     (byDist, byCat, sb.toString)
   }
 
-  /** Overall Eq.1 accuracy per algorithm (weighted by query count). */
-  def overall(byDist: Seq[AccRow]): Map[String, Double] =
-    byDist.groupBy(_.algo).view.mapValues { rs =>
+  /** The mean of `field` per algorithm over `rows`, weighted by query count. */
+  def overall(rows: Seq[AccRow], field: AccRow => Double): Map[String, Double] =
+    rows.groupBy(_.algo).view.mapValues { rs =>
       val n = rs.map(_.n).sum.toDouble
-      if (n == 0) 0.0 else rs.map(r => r.sim1 * r.n).sum / n
-    }.toMap
-
-  /** Overall mean latency (µs) per algorithm. */
-  def overallLatency(byDist: Seq[AccRow]): Map[String, Double] =
-    byDist.groupBy(_.algo).view.mapValues { rs =>
-      val n = rs.map(_.n).sum.toDouble
-      if (n == 0) 0.0 else rs.map(r => r.micros * r.n).sum / n
+      if (n == 0) 0.0 else rs.map(r => field(r) * r.n).sum / n
     }.toMap
 }

@@ -209,7 +209,7 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     * does not discuss it; the fallback keeps routing total).
     */
   def prefDijkstra(src: Int, dst: Int, pref: Preference): Option[Vector[Int]] =
-    prefDijkstraMany(src, Array(dst), Seq(pref))(0)(0)
+    prefDijkstraMany(src, ArraySeq(dst), Seq(pref))(0)(0)
 
   /** [[prefDijkstra]] from `src` to every vertex of `targets` under each of
     * `prefs`: `result(p)(t)` equals `prefDijkstra(src, targets(t), prefs(p))`.

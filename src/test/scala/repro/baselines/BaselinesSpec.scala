@@ -1,6 +1,5 @@
 package repro.baselines
 
-import repro.roadnet.CostType
 import repro.traj.{TrajectoryGen, Trip}
 import repro.{SparkSpec, TestNets}
 

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.roadnet.{CostType, Preference}
-import repro.{SparkSpec, TestNets}
+import repro.{Fixtures, SparkSpec, TestNets}
 
 class BEdgePathsSpec extends SparkSpec {
 
@@ -27,9 +27,8 @@ class BEdgePathsSpec extends SparkSpec {
 
   /** `materialise` of B-edges between `regions` under `prefs`. */
   private def bPaths(regions: Seq[RegionInfo], prefs: Map[(Int, Int), Option[Preference]]): Map[(Int, Int), Seq[Seq[Int]]] = {
-    val edges = prefs.keys.map { case k @ (a, b) => k -> RegionEdgeData(a, b, isT = false, Nil, None) }.toMap
-    val vertexRegion = regions.flatMap(r => r.members.map(_ -> r.id)).toMap
-    val idx = new RegionGraphIndex(regions.map(r => r.id -> r).toMap, vertexRegion, edges, Map.empty)
+    val edges = prefs.keys.toSeq.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
+    val idx = new RegionGraphIndex(regions, edges, Map.empty)
     BEdgePaths.materialise(spark, net, idx, prefs).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
   }
 
@@ -48,7 +47,10 @@ class BEdgePathsSpec extends SparkSpec {
     assert(out((0, 1)).isEmpty)
   }
 
-  test("materialise equals per-pair prefDijkstra paths on B-edges that share transfer centers") {
+  /** Five regions near the grid's corners and centre, and a preference (or
+    * none) for each of their ten pairs.
+    */
+  private lazy val (five, fivePrefs) = {
     val cols = 12
     val regions = Seq(region(0, 0, 1, cols + 1), region(1, 10, 11, cols + 10), region(2, 9 * cols, 9 * cols + 1, 8 * cols),
       region(3, net.n - 2, net.n - 1, 9 * cols - 1), region(4, 5 * cols + 5, 5 * cols + 6, 4 * cols + 6))
@@ -56,6 +58,12 @@ class BEdgePathsSpec extends SparkSpec {
     val candidates = None +: Preference.all.map(Some(_))
     val prefs = keys.zipWithIndex.map { case (k, i) => k -> candidates((3 * i) % candidates.size) }.toMap
       .updated((0, 2), Some(Preference(CostType.DI, None))).updated((0, 3), Some(Preference(CostType.DI, None)))
+    (regions, prefs)
+  }
+
+  test("materialise equals per-pair prefDijkstra paths on B-edges that share transfer centers") {
+    val (regions, prefs) = (five, fivePrefs)
+    val keys = prefs.keys.toSeq.sorted
     val out = bPaths(regions, prefs)
     var fallbacks = 0
     val sources = keys.flatMap { k =>
@@ -71,12 +79,19 @@ class BEdgePathsSpec extends SparkSpec {
     assert(fallbacks > 0, "no pair needs the slave-rule fallback")
   }
 
+  test("materialise keeps the edge rows in their order when there are more than four") {
+    val rows = fivePrefs.keys.toSeq.sorted.reverse.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
+    val idx = new RegionGraphIndex(five, rows, Map.empty)
+    assert(idx.edges.keys.toSeq !== rows.map(_.key), "the rows came in the edges map's order")
+    val out = BEdgePaths.materialise(spark, net, idx, fivePrefs)
+    val inOrder = new RegionGraphIndex(five, rows.map(e => out.edges(e.key)), Map.empty)
+    assert(Fixtures.serialise(out).sameElements(Fixtures.serialise(inOrder)), "materialise reordered the edge rows")
+  }
+
   test("materialise attaches paths and preferences to every B-edge") {
     val regions = Seq(Clustering.Region(0, Set(0, 1)), Clustering.Region(1, Set(net.n - 1, net.n - 2)))
-    val vrm = Clustering.assignment(regions)
-    val infos = regions.map(r => r.id -> RegionGraph.regionInfo(net, r, r.members.toArray, 2)).toMap
-    val idx = new RegionGraphIndex(infos, vrm,
-      Map((0, 1) -> RegionEdgeData(0, 1, isT = false, Nil, None)), Map.empty)
+    val infos = regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray, 2))
+    val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = false, Nil, None)), Map.empty)
     val pref = Some(Preference(CostType.DI, None))
     val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref))
     val e = out.edges((0, 1))
@@ -85,16 +100,15 @@ class BEdgePathsSpec extends SparkSpec {
     e.paths.foreach(p => assert(net.isValidPath(p.verts.toVector)))
     // path endpoints live in the two regions (transfer-center fallback)
     e.paths.foreach { p =>
-      assert(vrm.contains(p.verts.head) && vrm.contains(p.verts.last))
+      assert(out.regionOf(p.verts.head) >= 0 && out.regionOf(p.verts.last) >= 0)
     }
   }
 
   test("materialise leaves T-edges' paths alone but records their preference") {
     val regions = Seq(Clustering.Region(0, Set(0)), Clustering.Region(1, Set(9)))
-    val infos = regions.map(r => r.id -> RegionGraph.regionInfo(net, r, r.members.toArray, 2)).toMap
+    val infos = regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray, 2))
     val tPaths = Seq(PathRec(Seq(0, 1), 4))
-    val idx = new RegionGraphIndex(infos, Clustering.assignment(regions),
-      Map((0, 1) -> RegionEdgeData(0, 1, isT = true, tPaths, None)), Map.empty)
+    val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = true, tPaths, None)), Map.empty)
     val pref = Some(Preference(CostType.TT, Some(3)))
     val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref))
     assert(out.edges((0, 1)).paths === tPaths)

@@ -109,13 +109,6 @@ class ClusteringSpec extends SparkSpec {
     assert(regions.forall(_.members.size < n))
   }
 
-  test("assignment maps every member to its region") {
-    val edges = Seq(ClusterEdge(0, 1, 10, 1), ClusterEdge(2, 3, 10, 2), ClusterEdge(1, 2, 1, 1))
-    val regions = cluster(edges)
-    val a = Clustering.assignment(regions)
-    regions.foreach(r => r.members.foreach(m => assert(a(m) === r.id)))
-  }
-
   test("terminates on dense graphs") {
     val rnd = new scala.util.Random(3)
     val edges = (for (i <- 0 until 40; j <- i + 1 until 40 if rnd.nextDouble() < 0.2)

@@ -59,11 +59,10 @@ class EndToEndSpec extends SparkSpec {
     val net = repro.TestNets.custom(Seq((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
       Seq((0, 1, 1.0, 6), (0, 2, 1.0, 6), (1, 3, 1.0, 6), (2, 3, 1.0, 6)))
     val regions = (0 until 4).map(i => Clustering.Region(i, Set(i)))
-    val infos = regions.map(r => r.id -> RegionGraph.regionInfo(net, r, Array(r.id), 2)).toMap
+    val infos = regions.map(r => RegionGraph.regionInfo(net, r, Array(r.id), 2))
     val keys = Seq((0, 1), (0, 2), (1, 3), (2, 3))
     val found = for (order <- Seq(keys, keys.reverse)) yield {
-      val edges = order.map { case (a, b) => (a, b) -> RegionEdgeData(a, b, isT = false, Nil, None) }.toMap
-      val index = new RegionGraphIndex(infos, Clustering.assignment(regions), edges, Map.empty)
+      val index = new RegionGraphIndex(infos, order.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }, Map.empty)
       val router = new L2RRouter(net, index)
       for (a <- 0 until 4; b <- 0 until 4) assert(router.regionPath(a, b) === refRegionPath(index, a, b), s"$order: $a to $b")
       router.regionPath(0, 3)
@@ -191,7 +190,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("L2R beats Fastest and Shortest on overall accuracy (the paper's headline)") {
     val (byDist, _, _) = Tables.accuracyTables(spark, sc, Seq("L2R", "Shortest", "Fastest"))
-    val overall = Tables.overall(byDist)
+    val overall = Tables.overall(byDist, _.sim1)
     assert(overall("L2R") > overall("Fastest"),
       s"L2R=${overall("L2R")} vs Fastest=${overall("Fastest")}")
     assert(overall("L2R") > overall("Shortest"),

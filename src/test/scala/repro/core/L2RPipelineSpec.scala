@@ -19,13 +19,6 @@ class L2RPipelineSpec extends SparkSpec {
   private lazy val trips = TrajectoryGen.generateLocal(net,
     TrajectoryGen.Config(nTrips = 400, nDrivers = 8, nZones = 4, zoneRadiusKm = 0.8, seed = 31L))
 
-  private def serialise(o: AnyRef): Array[Byte] = {
-    val bytes = new ByteArrayOutputStream()
-    val out = new ObjectOutputStream(bytes)
-    out.writeObject(o); out.close()
-    bytes.toByteArray
-  }
-
   /** Learned preferences with `avgSim` as its raw bits. */
   private def exact(learned: Seq[PreferenceLearning.LearnedPref]) =
     learned.map(lp => (lp.copy(avgSim = 0.0), java.lang.Double.doubleToRawLongBits(lp.avgSim)))
@@ -41,7 +34,7 @@ class L2RPipelineSpec extends SparkSpec {
     val b = L2RPipeline.fit(spark, net, five)
     assert(a.nTEdges > 0 && a.nBEdges > 0)
     assert(a.digest === b.digest)
-    assert(serialise(a.index).sameElements(serialise(b.index)), "serialised RegionGraphIndex differs")
+    assert(Fixtures.serialise(a.index).sameElements(Fixtures.serialise(b.index)), "serialised RegionGraphIndex differs")
     assert(a.regions === b.regions)
     assert(exact(a.learned) === exact(b.learned))
     assert(a.transfer.prefs === b.transfer.prefs)

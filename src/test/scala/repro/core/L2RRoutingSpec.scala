@@ -11,20 +11,14 @@ class L2RRoutingSpec extends SparkSpec {
     Clustering.Region(0, Set(0, 1, 2)),
     Clustering.Region(1, Set(5, 6)),
     Clustering.Region(2, Set(8, 9)))
-  private val vrm = Clustering.assignment(regions)
 
-  private def mkIndex(edges: Map[(Int, Int), RegionEdgeData],
-                      inner: Map[Int, Seq[PathRec]] = Map.empty): RegionGraphIndex = {
-    val infos = regions.map { r =>
-      r.id -> RegionGraph.regionInfo(net, r, r.members.toArray.sorted, 2)
-    }.toMap
-    new RegionGraphIndex(infos, vrm, edges, inner)
-  }
+  private def mkIndex(edges: Seq[RegionEdgeData], inner: Map[Int, Seq[PathRec]] = Map.empty): RegionGraphIndex =
+    new RegionGraphIndex(regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray.sorted, 2)), edges, inner)
 
   private val idx = mkIndex(
-    Map(
-      (0, 1) -> RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 3)), None),
-      (1, 2) -> RegionEdgeData(1, 2, isT = true, Seq(PathRec(Seq(6, 7, 8), 2)), None)),
+    Seq(
+      RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 3)), None),
+      RegionEdgeData(1, 2, isT = true, Seq(PathRec(Seq(6, 7, 8), 2)), None)),
     Map(0 -> Seq(PathRec(Seq(0, 1, 2), 5))))
 
   private val router = new L2RRouter(net, idx)
@@ -47,7 +41,7 @@ class L2RRoutingSpec extends SparkSpec {
   }
 
   test("region path returns None when regions are unreachable") {
-    val lonely = mkIndex(Map((0, 1) -> RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 1)), None)))
+    val lonely = mkIndex(Seq(RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 1)), None)))
     val r = new L2RRouter(net, lonely)
     assert(r.regionPath(0, 2).isEmpty)
   }
@@ -79,9 +73,9 @@ class L2RRoutingSpec extends SparkSpec {
   }
 
   test("B-edge paths participate in routing like T-edge paths") {
-    val withB = mkIndex(Map(
-      (0, 1) -> RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 3)), None),
-      (1, 2) -> RegionEdgeData(1, 2, isT = false, Seq(PathRec(Seq(6, 7, 8), 0)),
+    val withB = mkIndex(Seq(
+      RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 3)), None),
+      RegionEdgeData(1, 2, isT = false, Seq(PathRec(Seq(6, 7, 8), 0)),
         Some(Preference(CostType.TT, None)))))
     val r = new L2RRouter(net, withB)
     val p = r.route(0, 9)
@@ -89,7 +83,7 @@ class L2RRoutingSpec extends SparkSpec {
   }
 
   test("falls back to fastest when the region graph cannot help") {
-    val empty = new RegionGraphIndex(Map.empty, Map.empty, Map.empty, Map.empty)
+    val empty = new RegionGraphIndex(Nil, Nil, Map.empty)
     val r = new L2RRouter(net, empty)
     assert(r.route(0, 9) === net.dijkstra(0, 9, _.tt).get)
   }
@@ -101,9 +95,9 @@ class L2RRoutingSpec extends SparkSpec {
     // Case 1: s and d in the two regions; Case 2: s outside, the fastest path's second vertex in a region
     for ((a, b) <- Seq((Set(s), Set(d)), (Set(fp(1)), Set(d)))) {
       val rs = Seq(Clustering.Region(0, a), Clustering.Region(1, b))
-      val infos = rs.map(r => r.id -> RegionGraph.regionInfo(g, r, r.members.toArray, 2)).toMap
-      def routed(pref: Preference): Vector[Int] = new L2RRouter(g, new RegionGraphIndex(infos, Clustering.assignment(rs),
-        Map((0, 1) -> RegionEdgeData(0, 1, isT = false, Nil, Some(pref))), Map.empty)).route(s, d)
+      val infos = rs.map(r => RegionGraph.regionInfo(g, r, r.members.toArray, 2))
+      def routed(pref: Preference): Vector[Int] = new L2RRouter(g, new RegionGraphIndex(infos,
+        Seq(RegionEdgeData(0, 1, isT = false, Nil, Some(pref))), Map.empty)).route(s, d)
       assert(routed(Preference(CostType.TT, None)) === fp)
       assert(routed(Preference(CostType.DI, None)) === g.dijkstra(s, d, CostType.DI).get)
     }

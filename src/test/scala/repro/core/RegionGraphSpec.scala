@@ -154,6 +154,23 @@ class RegionGraphSpec extends SparkSpec {
     assert(info.topRts === Seq(3, 1)) // rt3 total incident length 5 > rt1's 4
   }
 
+  test("the index rejects a negative or repeated region id, a repeated edge key, an edge to an unknown region and inner paths of an unknown region") {
+    val net = TestNets.line(6)
+    def info(id: Int, vs: Int*) = RegionGraph.regionInfo(net, Clustering.Region(id, vs.toSet), vs.toArray, 2)
+    def edge(a: Int, b: Int) = RegionEdgeData(a, b, isT = false, Nil, None)
+    val regions = Seq(info(2, 3, 4), info(0, 0, 1))
+    val ok = new RegionGraphIndex(regions, Seq(edge(2, 0)), Map(2 -> Seq(PathRec(Seq(3, 4), 1))))
+    assert(ok.nRegions === 2 && ok.nEdges === 1 && ok.regionOf(4) === 2)
+    def rejects(why: String)(index: => RegionGraphIndex): Unit =
+      assert(intercept[IllegalArgumentException](index).getMessage === s"requirement failed: $why")
+    rejects("a region id is negative or repeated")(new RegionGraphIndex(regions :+ info(-1, 5), Nil, Map.empty))
+    rejects("a region id is negative or repeated")(new RegionGraphIndex(regions :+ info(2, 5), Nil, Map.empty))
+    rejects("an edge key is repeated")(new RegionGraphIndex(regions, Seq(edge(0, 2), edge(2, 0)), Map.empty))
+    rejects("an edge joins an unknown region")(new RegionGraphIndex(regions, Seq(edge(0, 1)), Map.empty))
+    rejects("an edge joins an unknown region")(new RegionGraphIndex(regions, Seq(edge(5, 2)), Map.empty))
+    rejects("inner paths of an unknown region")(new RegionGraphIndex(regions, Nil, Map(1 -> Seq(PathRec(Seq(0, 1), 1)))))
+  }
+
   test("bEdges connect isolated regions via BFS without crossing regions") {
     // line 0..7; regions {0,1} and {6,7}; middle uncovered
     val net = TestNets.line(8)
@@ -178,9 +195,12 @@ class RegionGraphSpec extends SparkSpec {
     assert(!b.contains((0, 2)))
   }
 
+  /** Each member's region id. */
+  private def regionOf(regions: Seq[Clustering.Region]): Map[Int, Int] = regions.flatMap(r => r.members.map(_ -> r.id)).toMap
+
   /** B-edges as one search per region found them. */
   private def refBEdges(net: RoadNetwork, regions: Seq[Clustering.Region], existing: Set[(Int, Int)]): Seq[(Int, Int)] = {
-    val vertexRegion = Clustering.assignment(regions)
+    val vertexRegion = regionOf(regions)
     val found = mutable.Set.empty[(Int, Int)]
     regions.foreach { r =>
       TestNets.bfsUntil(net, r.members, v => vertexRegion.get(v).exists(_ != r.id)).foreach { v =>
@@ -207,7 +227,7 @@ class RegionGraphSpec extends SparkSpec {
       if (TestNets.reachableFrom(net, 0).size < net.n) disconnected += 1
       if (regions.exists(_.members.size == 1)) single += 1
       val got = RegionGraph.bEdges(net, RegionGraph.vertexRegions(net.n, regions), existing)
-      val vr = Clustering.assignment(regions)
+      val vr = regionOf(regions)
       val direct = net.edges.flatMap(e => for (a <- vr.get(e.src); b <- vr.get(e.dst)) yield (a min b, a max b)).toSet
       if (got.exists(!direct.contains(_))) chained += 1
       got == refBEdges(net, regions, existing)
