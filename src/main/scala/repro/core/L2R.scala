@@ -81,13 +81,6 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
     null
   }
 
-  /** Position of the first `v` in stored path `p`, from its start, or -1. */
-  private def indexIn(p: Int, v: Int): Int = {
-    var i = index.pathOff(p)
-    while (i < index.pathOff(p + 1)) { if (index.pathVert(i) == v) return i - index.pathOff(p); i += 1 }
-    -1
-  }
-
   /** The s … d slice of the most-traversed stored path, among the rows of
     * `ranges`, that passes s before d; on equal counts the first in range
     * order, as a stable sort by count picks it. Null when no path does.
@@ -95,14 +88,14 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Seriali
   private def storedSlice(ranges: Seq[Range], s: Int, d: Int): Vector[Int] = {
     var best = -1; var bestS = 0; var bestD = 0
     for (range <- ranges; p <- range if best < 0 || index.pathCount(p) > index.pathCount(best)) {
-      val is = indexIn(p, s)
+      val is = index.indexIn(p, s)
       if (is >= 0) {
-        val id = indexIn(p, d)
+        val id = index.indexIn(p, d)
         if (id > is) { best = p; bestS = is; bestD = id }
       }
     }
     if (best < 0) null
-    else index.pathVert.slice(index.pathOff(best) + bestS, index.pathOff(best) + bestD + 1).toVector
+    else index.slice(best, bestS, bestD + 1)
   }
 
   /** Same-region routing: the most-traversed inner path containing s before

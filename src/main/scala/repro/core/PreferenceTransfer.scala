@@ -87,14 +87,16 @@ object PreferenceTransfer {
       solveMillis: Long,
       /** per feature column: CG iterations and true relative residual of its solve */
       cgIterations: IndexedSeq[Int],
-      cgResidual: IndexedSeq[Double])
+      cgResidual: IndexedSeq[Double],
+      /** the edge pairs the band-pruned join scored (reSim computed), of n(n − 1)/2 */
+      pairsScanned: Long)
 
   /** Pairwise similarities ≥ amr over all region edges, as (i, j, s) with
     * i < j, sorted by (i, j). The join runs on the driver; `spark` is unused
     * and kept for callers.
     */
   def adjacency(spark: SparkSession, feats: IndexedSeq[REdgeFeat], amr: Double): Seq[(Int, Int, Double)] = {
-    val m = similarityGraph(feats, amr)
+    val (m, _) = similarityGraph(feats, amr)
     for (i <- feats.indices; k <- (m.rowPtr(i) until m.rowPtr(i + 1)).filter(m.cols(_) > i).sortBy(m.cols(_)))
       yield (i, m.cols(k), m.vals(k))
   }
@@ -105,9 +107,9 @@ object PreferenceTransfer {
     * first pair below that bound (less a slack for rounding; a negative or
     * NaN dis turns the stop off). 𝔽 is a bitmask over the distinct pair
     * codes, `words` longs per edge, and scores use reSim's arithmetic, so
-    * they are bit-identical to it.
+    * they are bit-identical to it. Returns M and the number of pairs scored.
     */
-  private def similarityGraph(feats: IndexedSeq[REdgeFeat], amr: Double): LinAlg.Csr = {
+  private def similarityGraph(feats: IndexedSeq[REdgeFeat], amr: Double): (LinAlg.Csr, Long) = {
     val n = feats.length
     val bit = feats.flatMap(_.fpairs).distinct.zipWithIndex.toMap
     val words = (bit.size + 63) / 64
@@ -118,6 +120,7 @@ object PreferenceTransfer {
     val bound = if (dis.forall(_ >= 0)) 2 * amr - 1 - 1e-9 else Double.NegativeInfinity
     val nbr = Array.fill(n)(mutable.ArrayBuilder.make[Int])
     val sim = Array.fill(n)(mutable.ArrayBuilder.make[Double])
+    var scanned = 0L
     for (p <- 0 until n) {
       val a = order(p)
       var q = p + 1
@@ -134,12 +137,12 @@ object PreferenceTransfer {
           }
           val s = score(dSim, inter, union)
           if (s >= amr) { nbr(a) += b; sim(a) += s; nbr(b) += a; sim(b) += s }
-          q += 1
+          scanned += 1; q += 1
         }
       }
     }
     val rows = nbr.map(_.result())
-    LinAlg.Csr(new Array[Double](n), rows.scanLeft(0)(_ + _.length), rows.flatten, sim.flatMap(_.result()))
+    (LinAlg.Csr(new Array[Double](n), rows.scanLeft(0)(_ + _.length), rows.flatten, sim.flatMap(_.result())), scanned)
   }
 
   /** Decode one Ŷ row into a preference: master = argmax over cost columns
@@ -161,7 +164,7 @@ object PreferenceTransfer {
   def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
                amr: Double = 0.7, mu1: Double = 1.0, mu2: Double = 0.01): TransferResult = {
     val n = feats.length
-    val m = similarityGraph(feats, amr)
+    val (m, scanned) = similarityGraph(feats, amr)
     val t0 = System.nanoTime()
 
     // A = S + μ₁(D − M) + μ₂I on M's sparsity pattern
@@ -186,7 +189,7 @@ object PreferenceTransfer {
     val nulls = bRows.count { case (f, i) => decode(yHat(i)).isEmpty }
     val nullRate = if (bRows.isEmpty) 0.0 else nulls.toDouble / bRows.size
     TransferResult(prefs, yHat, nullRate, m.cols.length / 2L, solveMillis,
-      solves.map(_.iterations), solves.map(_.relResidual))
+      solves.map(_.iterations), solves.map(_.relResidual), scanned)
   }
 
   /** Build region-edge features from a region graph and the learned T-edge

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.roadnet.{Preference, RoadNetwork}
 import repro.traj.Trip
 
-import scala.collection.immutable.ArraySeq
+import scala.collection.immutable.{ArraySeq, VectorBuilder}
 import scala.collection.mutable
 
 /** A road-network path attached to a region edge, with the number of
@@ -50,10 +50,15 @@ final case class RegionEdgeData(
   *    transfer centres;
   *  - one row per region edge, in the order given: endpoints, isT and a
   *    preference code (-1 for none, else [[Preference.code]]);
-  *  - every stored path as a range of one vertex array (`pathOff`,
-  *    `pathVert`), with its trajectory count, in path groups: group e < E
+  *  - every stored path as a byte range of one array (`pathOff`,
+  *    `pathBytes`), with its trajectory count, in path groups: group e < E
   *    holds edge row e's paths and group E + i region i's inner paths, the
-  *    paths `groupOff(g)` until `groupOff(g + 1)`.
+  *    paths `groupOff(g)` until `groupOff(g + 1)`. A path's bytes are its
+  *    vertices as zigzag varints of the difference from the previous
+  *    vertex, the first from 0, in wrapping `Int` arithmetic: a difference
+  *    under 2^27 in magnitude takes at most 4 bytes, a road hop between
+  *    nearby ids 1 or 2. Only this class and its companion know the
+  *    format: [[indexIn]], [[slice]] and the views decode it.
   *
   * Derived on first use and never serialised: the vertex → region array
   * (from the members), the region adjacency as CSR (each region's
@@ -63,12 +68,12 @@ final case class RegionEdgeData(
   * four entries iterates in id or row order, a larger one in hash order
   * (the order of an immutable hash map depends on its keys alone);
   * `edgeRows` reads the rows in row order. The router ([[L2RRouter]])
-  * reads only the arrays.
+  * reads the arrays and the stored paths through [[indexIn]] and [[slice]].
   */
-@SerialVersionUID(1L)
+@SerialVersionUID(2L)
 final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Map[Int, Seq[PathRec]])
     extends Serializable {
-  import RegionGraphIndex.pathGroups
+  import RegionGraphIndex.packPaths
 
   /** The regions by ascending id; read while constructing only. */
   @transient private[this] val byId: Array[RegionInfo] = infos.toArray.sortBy(_.id)
@@ -92,11 +97,13 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
   private[core] val edgeRj: Array[Int] = rows.map(_.rj).toArray
   private val edgeIsT: Array[Boolean] = rows.map(_.isT).toArray
   private[core] val edgePref: Array[Byte] = rows.map(_.pref.fold(-1)(Preference.code).toByte).toArray
-  private[core] val groupOff: Array[Int] = pathGroups(rows, byId, inner).map(_.length).scanLeft(0)(_ + _).toArray
-  private[core] val pathOff: Array[Int] =
-    pathGroups(rows, byId, inner).flatten.map(_.verts.length).scanLeft(0)(_ + _).toArray
-  private[core] val pathVert: Array[Int] = pathGroups(rows, byId, inner).flatten.flatMap(_.verts).toArray
-  private[core] val pathCount: Array[Int] = pathGroups(rows, byId, inner).flatten.map(_.count).toArray
+  /** The stored paths, packed in one pass; read while constructing only. */
+  @transient private[this] val packed: RegionGraphIndex.Packed = packPaths(rows, byId, inner)
+  private[core] val groupOff: Array[Int] = packed.groupOff
+  /** Path p's bytes are positions pathOff(p) until pathOff(p + 1) (tests read the sizes). */
+  private[core] val pathOff: Array[Int] = packed.pathOff
+  private val pathBytes: Array[Byte] = packed.bytes
+  private[core] val pathCount: Array[Int] = packed.count
 
   def nRegions: Int = regionId.length
   def nEdges: Int = edgeRi.length
@@ -183,6 +190,27 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
     tail == nRegions
   }
 
+  private def reader(p: Int) = new RegionGraphIndex.PathReader(pathBytes, pathOff(p), pathOff(p + 1))
+
+  /** Position of the first `v` in stored path `p`, from its start, or -1. */
+  private[core] def indexIn(p: Int, v: Int): Int = {
+    val r = reader(p)
+    var k = 0
+    while (r.hasNext) { if (r.next() == v) return k; k += 1 }
+    -1
+  }
+
+  /** The vertices of stored path `p` at positions `from` until `until`, as
+    * `slice` clamps them.
+    */
+  private[core] def slice(p: Int, from: Int, until: Int): Vector[Int] = {
+    val r = reader(p)
+    val out = new VectorBuilder[Int]
+    var k = 0
+    while (k < until && r.hasNext) { val v = r.next(); if (k >= from) out += v; k += 1 }
+    out.result()
+  }
+
   // ------------------------------------------------- views, rebuilt on demand
 
   private def ints(off: Array[Int], values: Array[Int], i: Int): Array[Int] =
@@ -192,8 +220,12 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
     * learning's Eq. 1 scoring ran measurably slower in a fresh JVM when the
     * vertices were array-backed.
     */
-  private def pathRecs(ps: Range): Seq[PathRec] =
-    ps.map(p => PathRec(ints(pathOff, pathVert, p).toList, pathCount(p))).to(ArraySeq)
+  private def pathRecs(ps: Range): Seq[PathRec] = ps.map { p =>
+    val r = reader(p)
+    val verts = mutable.ListBuffer.empty[Int]
+    while (r.hasNext) verts += r.next()
+    PathRec(verts.toList, pathCount(p))
+  }.to(ArraySeq)
 
   /** The regions by id. */
   @transient lazy val regions: Map[Int, RegionInfo] = regionId.indices.map { i =>
@@ -221,13 +253,53 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
 
 object RegionGraphIndex {
 
-  /** The path groups: each edge row's paths, then each region's inner paths.
-    * (Here, not in the class, so that `inner` is read by no closure there
-    * and stays a constructor argument, not a serialised field.)
+  /** Decodes the vertices of one stored path, bytes `from` until `until`
+    * of `bytes`, one [[next]] at a time; [[packPaths]] wrote them.
     */
-  private def pathGroups(rows: Seq[RegionEdgeData], byId: Array[RegionInfo],
-                         inner: Map[Int, Seq[PathRec]]): Iterator[Seq[PathRec]] =
-    rows.iterator.map(_.paths) ++ byId.iterator.map(r => inner.getOrElse(r.id, Nil))
+  private final class PathReader(bytes: Array[Byte], from: Int, until: Int) {
+    private[this] var i = from
+    private[this] var v = 0
+    def hasNext: Boolean = i < until
+    def next(): Int = {
+      var b = bytes(i); i += 1
+      var z = 0; var shift = 0
+      while (b < 0) { z |= (b & 0x7f) << shift; shift += 7; b = bytes(i); i += 1 }
+      z |= b << shift
+      v += (z >>> 1) ^ -(z & 1)
+      v
+    }
+  }
+
+  /** The stored paths of [[RegionGraphIndex]], packed: group and byte
+    * offsets, the bytes, and each path's trajectory count.
+    */
+  private final class Packed(val groupOff: Array[Int], val pathOff: Array[Int], val bytes: Array[Byte], val count: Array[Int])
+
+  /** Packs the path groups, each edge row's paths and then each region's
+    * inner paths, in one pass. (Here, not in the class, so that `inner` is
+    * read by no closure there and stays a constructor argument, not a
+    * serialised field.)
+    */
+  private def packPaths(rows: Seq[RegionEdgeData], byId: Array[RegionInfo], inner: Map[Int, Seq[PathRec]]): Packed = {
+    val groupOff = new mutable.ArrayBuilder.ofInt; val pathOff = new mutable.ArrayBuilder.ofInt
+    val bytes = new mutable.ArrayBuilder.ofByte; val count = new mutable.ArrayBuilder.ofInt
+    groupOff += 0; pathOff += 0
+    for (group <- rows.iterator.map(_.paths) ++ byId.iterator.map(r => inner.getOrElse(r.id, Nil))) {
+      for (path <- group) {
+        var prev = 0
+        for (v <- path.verts) {
+          val d = v - prev
+          var z = (d << 1) ^ (d >> 31) // zigzag: small magnitudes, either sign, to small codes
+          while ((z & ~0x7f) != 0) { bytes += ((z & 0x7f) | 0x80).toByte; z >>>= 7 }
+          bytes += z.toByte
+          prev = v
+        }
+        pathOff += bytes.length; count += path.count
+      }
+      groupOff += count.length
+    }
+    new Packed(groupOff.result(), pathOff.result(), bytes.result(), count.result())
+  }
 
   /** See [[RegionGraphIndex.adjacency]]. */
   private[core] final class Adjacency(val off: Array[Int], val nbr: Array[Int], val row: Array[Int], val dist: Array[Double])

@@ -4,7 +4,7 @@ import repro.SparkJobs.jobsOf
 import repro.traj.TrajectoryGen
 import repro.{Fixtures, SparkSpec, TestNets}
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream, ObjectStreamClass}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -62,10 +62,24 @@ class L2RPipelineSpec extends SparkSpec {
       override def annotateClass(c: Class[_]): Unit = classes += c.getName
     }
     out.writeObject(sc.model.index); out.close()
-    assert(classes.contains(classOf[RegionGraphIndex].getName) && classes.contains("[I"), classes)
+    assert(classes.contains(classOf[RegionGraphIndex].getName) && classes.contains("[I") && classes.contains("[B"), classes)
     val banned = Set("java.lang.Integer", "scala.collection.immutable.$colon$colon", "scala.Tuple2",
       "scala.collection.immutable.HashMap")
     assert((classes & banned).isEmpty, classes)
+    // every serialised field is a primitive array, and the stored vertices are bytes
+    val fields = ObjectStreamClass.lookup(classOf[RegionGraphIndex]).getFields.toSeq
+    assert(fields.forall(f => f.getType.isArray && f.getType.getComponentType.isPrimitive),
+      fields.map(f => s"${f.getName}: ${f.getType.getName}"))
+    assert(fields.find(_.getName == "pathBytes").map(_.getType) === Some(classOf[Array[Byte]]))
+    // a road hop of the tiny scenario's grid takes 1 or 2 bytes, and so does a first vertex below 2^13
+    val idx = sc.model.index
+    val rows = idx.edgeRows
+    val stored = rows.indices.flatMap(e => idx.edgePaths(e).zip(rows(e).paths)) ++
+      (0 until idx.nRegions).flatMap(i => idx.innerPathsOf(i).zip(idx.innerPaths.getOrElse(idx.regionId(i), Nil)))
+    assert(stored.map(_._1) === (0 until idx.pathCount.length) && stored.nonEmpty)
+    stored.foreach { case (p, rec) =>
+      assert(idx.pathOff(p + 1) - idx.pathOff(p) <= 2 * rec.verts.length, s"path $p: $rec")
+    }
 
     val back = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[RegionGraphIndex]
     assert(L2RPipeline.Model.digest(back) === sc.model.digest)

@@ -99,6 +99,27 @@ class PreferenceTransferSpec extends SparkSpec {
     }
   }
 
+  test("pairsScanned counts the pairs inside the dis band, which the join scores") {
+    val rnd = new scala.util.Random(41)
+    val feats = IndexedSeq.tabulate(150) { k =>
+      val dis = rnd.nextInt(6) match {
+        case 0 => Seq(1.0, 3.0, 3.5)(rnd.nextInt(3)) // ties
+        case _ => 0.5 + rnd.nextDouble() * 30
+      }
+      feat(k, isT = k % 3 == 0, dis, Seq(11 + rnd.nextInt(5), 22 + rnd.nextInt(5)))
+    }
+    for (amr <- Seq(0.6, 0.7, 0.9)) {
+      // a pair is in band when min/max dis ≥ 2·amr − 1 (the slack of the join's bound included)
+      val inBand = (for (i <- feats.indices; j <- i + 1 until feats.size) yield {
+        val lo = math.min(feats(i).dis, feats(j).dis); val hi = math.max(feats(i).dis, feats(j).dis)
+        lo / hi >= 2 * amr - 1 - 1e-9
+      }).count(identity)
+      val res = transfer(spark, feats, amr)
+      assert(res.pairsScanned === inBand.toLong, s"amr $amr")
+      assert(res.pairsScanned < feats.size * (feats.size - 1) / 2 && res.pairsScanned >= res.adjacencyNnz, s"amr $amr")
+    }
+  }
+
   // ------------------------------------------------------------ transfer
 
   test("the Figure-7 shape: B-edges inherit the most similar T-edge's preference") {

@@ -171,6 +171,59 @@ class RegionGraphSpec extends SparkSpec {
     rejects("inner paths of an unknown region")(new RegionGraphIndex(regions, Nil, Map(1 -> Seq(PathRec(Seq(0, 1), 1)))))
   }
 
+  test("the path store returns every stored path, its positions and slices, in at most 4 bytes per near vertex (scalacheck)") {
+    var descending, repeated, single, empty, near = 0
+    val vertex = Gen.frequency(3 -> Gen.choose(0, Int.MaxValue), 1 -> Gen.choose(0, 40), 1 -> Gen.oneOf(0, Int.MaxValue))
+    // a fresh vertex anywhere, or a road-like hop from the previous one
+    val step = Gen.frequency(2 -> Gen.choose(-200, 200).map(Left(_)), 1 -> vertex.map(Right(_)))
+    val path = for {
+      n <- Gen.frequency(1 -> Gen.const(0), 1 -> Gen.const(1), 4 -> Gen.choose(2, 30))
+      first <- vertex
+      steps <- Gen.listOfN(n, step)
+      count <- Gen.choose(0, 1000)
+    } yield PathRec(steps.scanLeft(first)((v, s) =>
+      s.fold(d => math.min(Int.MaxValue.toLong, math.max(0L, v.toLong + d)).toInt, identity)).take(n), count)
+    val paths = Gen.choose(0, 4).flatMap(Gen.listOfN(_, path))
+    val cases = for {
+      nRows <- Gen.choose(0, 4)
+      rowPaths <- Gen.listOfN(nRows, paths)
+      inner <- Gen.listOfN(nRows + 1, paths)
+    } yield (rowPaths, inner)
+    val prop = Prop.forAllNoShrink(cases) { case (rowPaths, innerPaths) =>
+      val infos = innerPaths.indices.map(id => RegionInfo(id, Array.empty, 0.0, 0.0, Nil, Array.empty))
+      val rows = rowPaths.zipWithIndex.map { case (ps, e) => RegionEdgeData(0, e + 1, isT = true, ps, None) }
+      val inner = innerPaths.indices.map(id => id -> innerPaths(id)).toMap
+      val index = new RegionGraphIndex(infos, rows, inner)
+      // each stored path's number with the record it was built from
+      val stored = rows.indices.flatMap(e => index.edgePaths(e).zip(rows(e).paths)) ++
+        innerPaths.indices.flatMap(i => index.innerPathsOf(i).zip(innerPaths(i)))
+      index.edgeRows.map(_.paths) == rows.map(_.paths) &&
+      index.innerPaths == inner.filter(_._2.nonEmpty) &&
+      stored.map(_._1) == (0 until index.pathCount.length) &&
+      stored.forall { case (p, rec) =>
+        val ref = rec.verts.toArray
+        val diffs = ref.indices.map(k => ref(k).toLong - (if (k == 0) 0L else ref(k - 1).toLong))
+        val bytes = index.pathOff(p + 1) - index.pathOff(p)
+        if (diffs.exists(_ < -(1L << 27))) descending += 1
+        if (ref.distinct.length < ref.length) repeated += 1
+        if (ref.length == 1) single += 1
+        if (ref.isEmpty) empty += 1
+        val bounded = diffs.forall(d => math.abs(d) < (1L << 27))
+        if (bounded && ref.nonEmpty) near += 1
+        val probes = ref.toSeq ++ Seq(-1, 0, 1, Int.MaxValue) ++ ref.map(_ + 1)
+        val cuts = Seq(-1, 0, 1, ref.length / 2, ref.length - 1, ref.length, ref.length + 1)
+        probes.forall(v => index.indexIn(p, v) == ref.indexOf(v)) &&
+        cuts.forall(i => cuts.forall(j => index.slice(p, i, j) == ref.slice(i, j).toVector)) &&
+        index.pathCount(p) == rec.count &&
+        (!bounded || bytes <= 4 * ref.length) && bytes <= 5 * ref.length
+      }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(29L)), prop)
+    assert(result.passed, result.status)
+    assert(descending > 0 && repeated > 0 && single > 0 && empty > 0 && near > 0,
+      s"descending=$descending repeated=$repeated single=$single empty=$empty near=$near")
+  }
+
   test("bEdges connect isolated regions via BFS without crossing regions") {
     // line 0..7; regions {0,1} and {6,7}; middle uncovered
     val net = TestNets.line(8)
