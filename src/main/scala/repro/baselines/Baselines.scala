@@ -9,7 +9,7 @@ import scala.collection.mutable
 /** A query-time router. All comparison algorithms (and L2R itself, via an
   * adapter) implement this so the evaluator can fan queries out uniformly.
   */
-trait Router extends Serializable {
+trait Router {
   def name: String
   def route(driver: Int, s: Int, d: Int): Vector[Int]
 }
@@ -57,10 +57,17 @@ object Dom {
 
   final case class Model(weights: Map[Int, Array[Double]], default: Array[Double])
 
+  /** Trips per driver (the first by id) that `fit` learns from. */
+  private val MaxTripsPerDriver = 15
+  /** Labels kept per vertex, and destination labels found, by the search. */
+  private val MaxLabelsPerVertex = 6
+  /** Relative slack of ε-dominance. */
+  private val Eps = 0.02
+
   /** Learn per-driver weights from (a sample of) their training trips. */
-  def fit(net: RoadNetwork, train: Seq[Trip], maxTripsPerDriver: Int = 15): Model = {
+  def fit(net: RoadNetwork, train: Seq[Trip]): Model = {
     val perDriver = train.groupBy(_.driver).map { case (drv, trips) =>
-      val sample = trips.sortBy(_.id).take(maxTripsPerDriver)
+      val sample = trips.sortBy(_.id).take(MaxTripsPerDriver)
       val sums = new Array[Double](3)
       var cnt = 0
       sample.foreach { t =>
@@ -90,18 +97,18 @@ object Dom {
     Model(perDriver, default)
   }
 
-  /** ε-dominance multi-objective search with a per-vertex label cap: finds
-    * a set of Pareto-ish paths and returns the one minimising the driver's
-    * weighted cost.
+  /** ε-dominance multi-objective search (ε = `Eps`) with a cap of
+    * `MaxLabelsPerVertex` labels per vertex: finds up to that many
+    * Pareto-ish paths to the destination and returns the one minimising the
+    * driver's weighted cost.
     */
-  final class DomRouter(net: RoadNetwork, model: Model,
-                        maxLabelsPerVertex: Int = 6, eps: Double = 0.02) extends Router {
+  final class DomRouter(net: RoadNetwork, model: Model) extends Router {
     val name = "Dom"
 
     /** Compared by reference: "still in its bucket" means this very label. */
     private final class Label(val v: Int, val di: Double, val tt: Double, val fc: Double, val parent: Label) {
       def dominates(o: Label): Boolean =
-        di <= o.di * (1 + eps) && tt <= o.tt * (1 + eps) && fc <= o.fc * (1 + eps) &&
+        di <= o.di * (1 + Eps) && tt <= o.tt * (1 + Eps) && fc <= o.fc * (1 + Eps) &&
           (di < o.di || tt < o.tt || fc < o.fc)
     }
 
@@ -121,7 +128,7 @@ object Dom {
       labels.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += start
       pq.enqueue((0.0, start))
       val dstLabels = mutable.ArrayBuffer.empty[Label]
-      while (pq.nonEmpty && dstLabels.length < maxLabelsPerVertex) {
+      while (pq.nonEmpty && dstLabels.length < MaxLabelsPerVertex) {
         val (_, l) = pq.dequeue()
         val bucket = labels(l.v)
         if (bucket.contains(l)) { // not pruned since insertion
@@ -133,9 +140,9 @@ object Dom {
             if (!nb.exists(_.dominates(nl))) {
               nb.filterInPlace(ex => !nl.dominates(ex))
               nb += nl
-              if (nb.length > maxLabelsPerVertex) {
+              if (nb.length > MaxLabelsPerVertex) {
                 // keep the best by scalarised score
-                val keep = nb.sortBy(x => score(x.di, x.tt, x.fc)).take(maxLabelsPerVertex)
+                val keep = nb.sortBy(x => score(x.di, x.tt, x.fc)).take(MaxLabelsPerVertex)
                 nb.clear(); nb ++= keep
               }
               if (nb.contains(nl)) pq.enqueue((score(nl.di, nl.tt, nl.fc), nl))
@@ -180,10 +187,13 @@ object TripRouter {
     if (total <= 0) len else len.map(_ / total)
   }
 
-  def fit(net: RoadNetwork, train: Seq[Trip], maxTripsPerDriver: Int = 30): Model = {
+  /** Trips per driver (the first by id) whose road-type usage `fit` reads. */
+  private val MaxTripsPerDriver = 30
+
+  def fit(net: RoadNetwork, train: Seq[Trip]): Model = {
     val pop = usage(net, train)
     val perDriver = train.groupBy(_.driver).map { case (drv, trips) =>
-      val u = usage(net, trips.sortBy(_.id).take(maxTripsPerDriver))
+      val u = usage(net, trips.sortBy(_.id).take(MaxTripsPerDriver))
       val r = Array.tabulate(7) { rt =>
         if (pop(rt) <= 1e-9) 1.0
         else {
@@ -204,7 +214,7 @@ object TripRouter {
       * driver's first route: one column per driver at construction would
       * cost O(drivers × edges) before any query.
       */
-    private final class Personal(r: Array[Double]) extends Serializable {
+    private final class Personal(r: Array[Double]) {
       lazy val cost: EdgeCost = net.column(e => e.tt / math.max(0.5, r(e.rt)))
     }
     private val personal = model.ratio.map { case (drv, r) => drv -> new Personal(r) }

@@ -37,11 +37,11 @@ object BEdgePaths {
     * whose B-edges carry paths (count 0 ⇒ synthetic, not trajectory-backed)
     * and preferences, with the edge rows in the same order. A B-edge's paths
     * are those between its transfer-center pairs (s, d), s ≠ d, source-major,
-    * without repeats.
+    * without repeats, with `tcsPerSide` centers picked on each side.
     */
   def materialise(spark: SparkSession, net: RoadNetwork, index: RegionGraphIndex,
                   prefs: Map[(Int, Int), Option[Preference]],
-                  tcsPerSide: Int = 2): RegionGraphIndex = {
+                  tcsPerSide: Int): RegionGraphIndex = {
     val rows = index.edgeRows
     val plans = rows.filterNot(_.isT).map { e =>
       val a = index.regions(e.ri); val b = index.regions(e.rj)

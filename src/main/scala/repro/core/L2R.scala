@@ -19,7 +19,7 @@ import scala.collection.immutable.ArraySeq
   * the fastest s → d path stand in for the missing endpoint regions; with
   * fewer than two distinct regions the fastest path is returned.
   */
-final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) extends Serializable {
+final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
 
   private val FastestCode = Preference.code(Preference(CostType.TT, None))
 

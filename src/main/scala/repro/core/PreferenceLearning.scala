@@ -23,9 +23,7 @@ import scala.collection.mutable
   */
 object PreferenceLearning {
 
-  /** A T-edge's path set, encoder-friendly: `paths(k)` used by `counts(k)`
-    * trajectories.
-    */
+  /** A T-edge's path set: `paths(k)` used by `counts(k)` trajectories. */
   final case class TEdgePaths(ri: Int, rj: Int, paths: Seq[Seq[Int]], counts: Seq[Int])
 
   /** The preference learned for T-edge (ri, rj), with its average Eq. 1

@@ -162,7 +162,7 @@ object PreferenceTransfer {
     * `spark` is unused and kept for callers. Throws when a CG solve fails.
     */
   def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
-               amr: Double = 0.7, mu1: Double = 1.0, mu2: Double = 0.01): TransferResult = {
+               amr: Double, mu1: Double, mu2: Double): TransferResult = {
     val n = feats.length
     val (m, scanned) = similarityGraph(feats, amr)
     val t0 = System.nanoTime()

@@ -47,16 +47,17 @@ object Scenario {
       pBackground = 0.05),
     Seq(0, 2, 5, 10, 35))
 
-  /** Build a scenario end-to-end (generation → split → fit → routers). */
+  /** Build a scenario end-to-end (generation → split → fit with
+    * `L2RPipeline.Params()` → routers).
+    */
   def build(spark: SparkSession, name: String,
             netCfg: RoadNetGen.Config, trajCfg: TrajectoryGen.Config,
-            bounds: Seq[Double],
-            params: L2RPipeline.Params = L2RPipeline.Params()): Scenario = {
+            bounds: Seq[Double]): Scenario = {
     import spark.implicits._
     val net = RoadNetGen.grid(netCfg)
     val trips = TrajectoryGen.generate(spark, net, trajCfg).collect().toSeq.sortBy(_.id)
     val (train, test) = TrajectoryGen.split(trips, trajCfg.trainFrac)
-    val model = L2RPipeline.fit(spark, net, spark.createDataset(train), params)
+    val model = L2RPipeline.fit(spark, net, spark.createDataset(train))
     val dom = Dom.fit(net, train)
     val trip = TripRouter.fit(net, train)
     val routers = Seq(

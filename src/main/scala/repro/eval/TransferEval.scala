@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core.PreferenceTransfer
+import repro.core.{L2RPipeline, PreferenceTransfer}
 import repro.core.PreferenceTransfer.REdgeFeat
 import repro.roadnet.{CostType, Preference}
 
@@ -23,23 +23,28 @@ object TransferEval {
     (a intersect b).size.toDouble / (a union b).size
   }
 
-  /** Hold out partition 0 of the T-edge features, label with partitions
-    * 1..nPartsUsed, transfer, and score the held-out preferences. T-edges
-    * in unused partitions are excluded (the paper scales the training set
-    * 1X → 4X).
+  /** The T-edges are split into this many partitions. */
+  private val NParts = 5
+  /** Seed of the partition draw. */
+  private val PartitionSeed = 17L
+
+  /** Split the T-edge features into `NParts` seeded partitions, hold out
+    * partition 0, label with partitions 1..nPartsUsed, transfer with amr and
+    * the fit's μ₁, μ₂ (`L2RPipeline.Params()`), and score the held-out
+    * preferences. T-edges in unused partitions are excluded (the paper
+    * scales the training set 1X → 4X).
     */
-  def holdout(spark: SparkSession, tFeats: IndexedSeq[REdgeFeat], nPartsUsed: Int,
-              amr: Double, mu1: Double = 1.0, mu2: Double = 0.01, nParts: Int = 5,
-              seed: Long = 17L): HoldoutResult = {
+  def holdout(spark: SparkSession, tFeats: IndexedSeq[REdgeFeat], nPartsUsed: Int, amr: Double): HoldoutResult = {
     require(tFeats.forall(_.isT), "holdout expects learned T-edge features")
-    val rnd = new scala.util.Random(seed)
-    val part = tFeats.map(_ => rnd.nextInt(nParts))
+    val rnd = new scala.util.Random(PartitionSeed)
+    val part = tFeats.map(_ => rnd.nextInt(NParts))
     val heldOut = tFeats.zip(part).filter(_._2 == 0).map(_._1)
     val labelled = tFeats.zip(part).filter { case (_, p) => p >= 1 && p <= nPartsUsed }.map(_._1)
 
     // held-out edges participate unlabelled (preference masked)
     val feats = (labelled ++ heldOut.map(_.copy(label = None))).toIndexedSeq
-    val res = PreferenceTransfer.transfer(spark, feats, amr, mu1, mu2)
+    val fit = L2RPipeline.Params()
+    val res = PreferenceTransfer.transfer(spark, feats, amr, fit.mu1, fit.mu2)
 
     val scores = heldOut.zipWithIndex.map { case (gt, k) =>
       val i = labelled.size + k

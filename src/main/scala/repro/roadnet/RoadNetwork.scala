@@ -28,7 +28,7 @@ trait EdgeCost { def of(e: Edge): Double }
   * column directly, as they read a [[CostType]]'s.
   */
 final class CostColumn private[roadnet] (owner: RoadNetwork, private[roadnet] val values: Array[Double])
-    extends EdgeCost with Serializable {
+    extends EdgeCost {
   private[roadnet] def ownedBy(net: RoadNetwork): Boolean = net eq owner
   def of(e: Edge): Double = values(owner.csrPosition(e))
 }
@@ -91,17 +91,11 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     buf.map(_.toArray)
   }
 
-  private val edgeIdx: java.util.HashMap[Long, Int] = {
-    val m = new java.util.HashMap[Long, Int](edges.length * 2)
-    edges.zipWithIndex.foreach { case (e, i) => m.put(e.src.toLong << 32 | (e.dst.toLong & 0xffffffffL), i) }
-    m
-  }
-
-  /** The edge from u to v, if any. */
-  def edgeBetween(u: Int, v: Int): Option[Edge] = {
-    val i = edgeIdx.getOrDefault(u.toLong << 32 | (v.toLong & 0xffffffffL), -1)
-    if (i < 0) None else Some(edges(i))
-  }
+  /** The edge from u to v, if any: of parallel u → v edges, the last in
+    * `edges`. None when u is not a vertex id.
+    */
+  def edgeBetween(u: Int, v: Int): Option[Edge] =
+    if (u < 0 || u >= n) None else adj(u).findLast(edges(_).dst == v).map(edges(_))
 
   /** Length (km) of the undirected road between u and v; 0 if absent. */
   def lenBetween(u: Int, v: Int): Double =

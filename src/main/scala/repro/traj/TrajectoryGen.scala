@@ -38,14 +38,16 @@ final case class Zone(id: Int, center: Int, members: Array[Int], weight: Double)
   */
 object TrajectoryGen {
 
+  /** The shape of a generated trip set. A zone trip follows its driver's
+    * own preference with the fixed probability `PDriverOverride` (0.12), and
+    * its zone pair's latent preference otherwise.
+    */
   final case class Config(
       nTrips: Int = 2000,
       nDrivers: Int = 40,
       nZones: Int = 8,
       zoneRadiusKm: Double = 1.0,
       seed: Long = 42L,
-      /** probability a trip follows the driver's own preference */
-      pDriverOverride: Double = 0.12,
       /** probability of a uniform background trip (sparse coverage) */
       pBackground: Double = 0.1,
       /** zone-pair centroid distance beyond which TT is always preferred */
@@ -55,6 +57,9 @@ object TrajectoryGen {
       distDecayKm: Double = Double.PositiveInfinity,
       /** fraction of trips (by id order) used for training */
       trainFrac: Double = 0.75)
+
+  /** Probability that a zone trip follows its driver's own preference. */
+  private val PDriverOverride = 0.12
 
   import RoadNetGen.{mix, unit}
 
@@ -147,7 +152,7 @@ object TrajectoryGen {
           var d = zones(zd).members(rnd.nextInt(zones(zd).members.length))
           if (d == s) d = zones(zd).members((rnd.nextInt(zones(zd).members.length)))
           val p =
-            if (rnd.nextDouble() < cfg.pDriverOverride) driverPref(driver, cfg.seed)
+            if (rnd.nextDouble() < PDriverOverride) driverPref(driver, cfg.seed)
             else zonePref(zs, zd, net.euclid(zones(zs).center, zones(zd).center), cfg.longDistKm, cfg.seed)
           (s, d, p)
         }

@@ -30,12 +30,15 @@ object LinAlg {
     */
   final case class CgResult(x: Array[Double], iterations: Int, relResidual: Double)
 
+  /** The relative residual ‖r‖/‖b‖ at which [[cg]] stops. */
+  private val Tol = 1e-10
+
   /** Solve A x = b by Jacobi-preconditioned conjugate gradient until
-    * ‖r‖/‖b‖ ≤ tol. A must be symmetric positive definite: the solve throws
-    * when a diagonal entry or pᵀAp is not positive, and when it reaches
-    * `maxIter` iterations without meeting `tol`.
+    * ‖r‖/‖b‖ ≤ 1e-10. A must be symmetric positive definite: the solve
+    * throws when a diagonal entry or pᵀAp is not positive, and when it
+    * reaches `maxIter` iterations without meeting that tolerance.
     */
-  def cg(a: Csr, b: Array[Double], tol: Double = 1e-10, maxIter: Int = 2000): CgResult = {
+  def cg(a: Csr, b: Array[Double], maxIter: Int = 2000): CgResult = {
     val n = a.n
     val invDiag = a.diag.map { d =>
       if (!(d > 0)) throw new IllegalArgumentException(s"CG: diagonal entry $d <= 0, A is not positive definite")
@@ -50,10 +53,10 @@ object LinAlg {
     var rr = b2
     var rz = dot(r, p)
     var it = 0
-    while (!(rr <= tol * tol * b2)) { // a NaN residual keeps iterating into a loud failure
+    while (!(rr <= Tol * Tol * b2)) { // a NaN residual keeps iterating into a loud failure
       if (it == maxIter)
         throw new IllegalStateException(
-          f"CG did not converge in $maxIter iterations: relative residual ${math.sqrt(rr / b2)}%.3e > $tol%.1e")
+          f"CG did not converge in $maxIter iterations: relative residual ${math.sqrt(rr / b2)}%.3e > $Tol%.1e")
       a.multiply(p, ap)
       val pap = dot(p, ap)
       if (!(pap > 0))

@@ -6,6 +6,7 @@ import repro.{Fixtures, SparkSpec, TestNets}
 class BEdgePathsSpec extends SparkSpec {
 
   private val net = TestNets.smallGrid(12, 10)
+  private val tcsPerSide = L2RPipeline.Params().tcsPerSide
 
   test("pickTcs prefers transfer centers nearest the other region") {
     val far = net.n - 1 // opposite corner of the grid
@@ -29,7 +30,7 @@ class BEdgePathsSpec extends SparkSpec {
   private def bPaths(regions: Seq[RegionInfo], prefs: Map[(Int, Int), Option[Preference]]): Map[(Int, Int), Seq[Seq[Int]]] = {
     val edges = prefs.keys.toSeq.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
     val idx = new RegionGraphIndex(regions, edges, Map.empty)
-    BEdgePaths.materialise(spark, net, idx, prefs).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
+    BEdgePaths.materialise(spark, net, idx, prefs, tcsPerSide).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
   }
 
   test("materialise routes a B-edge with its preference's Algorithm 2 path") {
@@ -83,7 +84,7 @@ class BEdgePathsSpec extends SparkSpec {
     val rows = fivePrefs.keys.toSeq.sorted.reverse.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
     val idx = new RegionGraphIndex(five, rows, Map.empty)
     assert(idx.edges.keys.toSeq !== rows.map(_.key), "the rows came in the edges map's order")
-    val out = BEdgePaths.materialise(spark, net, idx, fivePrefs)
+    val out = BEdgePaths.materialise(spark, net, idx, fivePrefs, tcsPerSide)
     val inOrder = new RegionGraphIndex(five, rows.map(e => out.edges(e.key)), Map.empty)
     assert(Fixtures.serialise(out).sameElements(Fixtures.serialise(inOrder)), "materialise reordered the edge rows")
   }
@@ -93,7 +94,7 @@ class BEdgePathsSpec extends SparkSpec {
     val infos = regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray, 2))
     val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = false, Nil, None)), Map.empty)
     val pref = Some(Preference(CostType.DI, None))
-    val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref))
+    val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref), tcsPerSide)
     val e = out.edges((0, 1))
     assert(e.paths.nonEmpty)
     assert(e.pref === pref)
@@ -110,7 +111,7 @@ class BEdgePathsSpec extends SparkSpec {
     val tPaths = Seq(PathRec(Seq(0, 1), 4))
     val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = true, tPaths, None)), Map.empty)
     val pref = Some(Preference(CostType.TT, Some(3)))
-    val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref))
+    val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref), tcsPerSide)
     assert(out.edges((0, 1)).paths === tPaths)
     assert(out.edges((0, 1)).pref === pref)
   }

@@ -7,6 +7,9 @@ import repro.util.DenseSolve
 
 class PreferenceTransferSpec extends SparkSpec {
 
+  /** The fit's μ₁ and μ₂. */
+  private val fit = L2RPipeline.Params()
+
   // ------------------------------------------------------------ reSim
 
   test("reSim of identical features is 1") {
@@ -114,7 +117,7 @@ class PreferenceTransferSpec extends SparkSpec {
         val lo = math.min(feats(i).dis, feats(j).dis); val hi = math.max(feats(i).dis, feats(j).dis)
         lo / hi >= 2 * amr - 1 - 1e-9
       }).count(identity)
-      val res = transfer(spark, feats, amr)
+      val res = transfer(spark, feats, amr, fit.mu1, fit.mu2)
       assert(res.pairsScanned === inBand.toLong, s"amr $amr")
       assert(res.pairsScanned < feats.size * (feats.size - 1) / 2 && res.pairsScanned >= res.adjacencyNnz, s"amr $amr")
     }
@@ -142,7 +145,7 @@ class PreferenceTransferSpec extends SparkSpec {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.FC, None))),
       REdgeFeat(5, 6, 4.0, Seq(11), None))
-    val res = transfer(spark, feats, 0.7)
+    val res = transfer(spark, feats, 0.7, fit.mu1, fit.mu2)
     val kept = res.prefs((1, 2)).get
     assert(kept.master === CostType.FC && kept.slave === None)
   }
@@ -151,7 +154,7 @@ class PreferenceTransferSpec extends SparkSpec {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, 1.0, Seq(11), Some(Preference(CostType.DI, None))),
       REdgeFeat(5, 6, 500.0, Seq(66), None)) // similarity ≈ 0
-    val res = transfer(spark, feats, amr = 0.7)
+    val res = transfer(spark, feats, 0.7, fit.mu1, fit.mu2)
     assert(res.prefs((5, 6)) === None)
     assert(res.nullRate === 1.0)
   }
@@ -160,7 +163,7 @@ class PreferenceTransferSpec extends SparkSpec {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.TT, None))),
       REdgeFeat(5, 6, 4.0, Seq(11), None))
-    val res = transfer(spark, feats, 0.7)
+    val res = transfer(spark, feats, 0.7, fit.mu1, fit.mu2)
     assert(res.prefs((5, 6)).get.slave === None)
   }
 
@@ -169,7 +172,7 @@ class PreferenceTransferSpec extends SparkSpec {
       REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.DI, None))),
       REdgeFeat(5, 6, 4.0, Seq(11), None),   // sim 1.0
       REdgeFeat(7, 8, 5.5, Seq(11), None))   // sim < 1
-    val res = transfer(spark, feats, amr = 0.5)
+    val res = transfer(spark, feats, 0.5, fit.mu1, fit.mu2)
     assert(res.yHat(1)(CostType.DI.id) > res.yHat(2)(CostType.DI.id))
   }
 

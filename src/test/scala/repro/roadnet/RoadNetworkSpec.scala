@@ -18,6 +18,24 @@ class RoadNetworkSpec extends SparkSpec {
     assert(line.edgeBetween(0, 2).isEmpty)
   }
 
+  test("edgeBetween takes the last parallel edge and is directed; lenBetween falls back to the reverse edge") {
+    // two parallel 0 → 1 edges of different lengths, and the one-way 1 → 2
+    val vs = Array(Vertex(0, 0, 0), Vertex(1, 1, 0), Vertex(2, 2, 0))
+    val es = Array(Edge(0, 1, 1.0, 1, 1, 6), Edge(0, 1, 2.0, 1, 1, 6), Edge(1, 2, 3.0, 1, 1, 6))
+    val net = new RoadNetwork(vs, es)
+    assert(net.edgeBetween(0, 1) === Some(es(1)))
+    assert(net.edgeBetween(1, 0).isEmpty && net.edgeBetween(2, 1).isEmpty)
+    assert(net.lenBetween(0, 1) === 2.0 && net.lenBetween(1, 0) === 2.0)
+    assert(net.lenBetween(1, 2) === 3.0 && net.lenBetween(2, 1) === 3.0)
+    assert(net.edgeBetween(0, 2).isEmpty && net.lenBetween(0, 2) === 0.0)
+    // vertex ids outside 0..n-1
+    for ((u, v) <- Seq((-1, 0), (3, 0), (0, 3), (Int.MinValue, 1), (1, Int.MaxValue)))
+      assert(net.edgeBetween(u, v).isEmpty, s"($u, $v)")
+    assert(net.lenBetween(-1, 0) === 0.0 && net.lenBetween(0, 3) === 0.0)
+    assert(!net.isValidPath(Vector(-1, 0, 1)) && !net.isValidPath(Vector(0, 1, 2, 3)))
+    assert(net.isValidPath(Vector(0, 1, 2)))
+  }
+
   test("lenBetween is symmetric") {
     assert(grid.edges.take(50).forall(e => grid.lenBetween(e.src, e.dst) === grid.lenBetween(e.dst, e.src)))
   }
