@@ -17,7 +17,14 @@ import scala.collection.mutable
   * runs the many-target Algorithm 2 searches of all candidate preferences
   * in one call ([[RoadNetwork.prefDijkstraMany]]), whose master-only
   * searches also serve as the slave-rule fallbacks, and scores every path
-  * that starts there. The work items run on a pool of driver threads
+  * that starts there. The 21 preferences hold each slave road type under
+  * three masters, so that call first runs one reach pass per slave type:
+  * a breadth-first pass under the slave rule, whose reach does not depend
+  * on the master cost. The three restricted searches of the type then run
+  * to the reached targets only, and not at all when none is reached; the
+  * others take the master-only path, as the fallback gives them anyway.
+  * Every path, and so every score, is the same as without the pass. The
+  * work items run on a pool of driver threads
   * sharing the road network ([[DriverPool]]); the driver then sums each
   * T-edge's path scores and ranks its preferences.
   */

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.roadnet.{CostType, Preference}
-import repro.util.LinAlg
+import repro.util.{DriverPool, LinAlg}
 
 import scala.collection.mutable
 
@@ -23,7 +23,8 @@ import scala.collection.mutable
   *
   * Both steps run on the driver (n = #region edges is small): a band-pruned
   * bitmask similarity join (the size filter of Bayardo, Ma & Srikant, WWW
-  * 2007) and a preconditioned CG over primitive CSR arrays.
+  * 2007) and a preconditioned CG over primitive CSR arrays, its columns
+  * solved on driver threads.
   */
 object PreferenceTransfer {
 
@@ -109,7 +110,7 @@ object PreferenceTransfer {
     * codes, `words` longs per edge, and scores use reSim's arithmetic, so
     * they are bit-identical to it. Returns M and the number of pairs scored.
     */
-  private def similarityGraph(feats: IndexedSeq[REdgeFeat], amr: Double): (LinAlg.Csr, Long) = {
+  private[core] def similarityGraph(feats: IndexedSeq[REdgeFeat], amr: Double): (LinAlg.Csr, Long) = {
     val n = feats.length
     val bit = feats.flatMap(_.fpairs).distinct.zipWithIndex.toMap
     val words = (bit.size + 63) / 64
@@ -157,31 +158,38 @@ object PreferenceTransfer {
     if (row(master.id) < 1e-8) None else Some(Preference(master, slave))
   }
 
+  /** A = S + μ₁(D − M) + μ₂I of Eq. 3, on M's sparsity pattern. */
+  private[core] def systemMatrix(m: LinAlg.Csr, feats: IndexedSeq[REdgeFeat], mu1: Double, mu2: Double): LinAlg.Csr = {
+    val diag = Array.tabulate(feats.length) { i =>
+      val deg = (m.rowPtr(i) until m.rowPtr(i + 1)).foldLeft(0.0)(_ + m.vals(_))
+      (if (feats(i).isT) 1.0 else 0.0) + mu1 * deg + mu2
+    }
+    LinAlg.Csr(diag, m.rowPtr, m.cols, m.vals.map(s => -mu1 * s))
+  }
+
+  /** Column x of S·Y: Y's T-edge rows, as S[i,i] = 1 for T-edges. */
+  private[core] def yColumn(feats: IndexedSeq[REdgeFeat], x: Int): Array[Double] =
+    feats.map(f => if (f.label.exists(hasColumn(_, x))) 1.0 else 0.0).toArray
+
   /** Run the transduction. T-edge rows of Y are one-hot in their learned
-    * features; B-edge rows start at zero (unlabelled). Runs on the driver;
-    * `spark` is unused and kept for callers. Throws when a CG solve fails.
+    * features; B-edge rows start at zero (unlabelled). Runs on the driver:
+    * the nine column solves are independent; the first runs on the calling
+    * thread and the other eight on a [[DriverPool]] of `spark`'s default
+    * parallelism, each with the arithmetic of a solve on its own. Throws
+    * when a CG solve fails (the lowest failing column's error).
     */
   def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
                amr: Double, mu1: Double, mu2: Double): TransferResult = {
     val n = feats.length
     val (m, scanned) = similarityGraph(feats, amr)
     val t0 = System.nanoTime()
-
-    // A = S + μ₁(D − M) + μ₂I on M's sparsity pattern
-    val diag = Array.tabulate(n) { i =>
-      val deg = (m.rowPtr(i) until m.rowPtr(i + 1)).foldLeft(0.0)(_ + m.vals(_))
-      (if (feats(i).isT) 1.0 else 0.0) + mu1 * deg + mu2
-    }
-    val a = LinAlg.Csr(diag, m.rowPtr, m.cols, m.vals.map(s => -mu1 * s))
-
-    // one solve per Y column; S·Y is Y's T-edge rows (S[i,i] = 1 for T-edges)
-    val yHat = Array.fill(n)(new Array[Double](P))
-    val solves = (0 until P).map { x =>
-      val b = feats.map(f => if (f.label.exists(hasColumn(_, x))) 1.0 else 0.0)
-      val sol = LinAlg.cg(a, b.toArray)
-      for (i <- 0 until n) yHat(i)(x) = sol.x(i)
-      sol
-    }
+    val a = systemMatrix(m, feats, mu1, mu2)
+    // column 0 on this thread, then the other eight on the pool: in a fresh
+    // JVM, four threads that start the solver cold were slower than one after
+    // another, and on four threads nine columns take three rounds either way
+    val first = LinAlg.cg(a, yColumn(feats, 0))
+    val solves = first +: DriverPool.map(1 until P, spark.sparkContext.defaultParallelism)(x => LinAlg.cg(a, yColumn(feats, x)))
+    val yHat = Array.tabulate(n, P)((i, x) => solves(x).x(i))
     val solveMillis = (System.nanoTime() - t0) / 1000000
 
     val prefs = feats.zipWithIndex.map { case (f, i) => f.key -> f.label.orElse(decode(yHat(i))) }.toMap

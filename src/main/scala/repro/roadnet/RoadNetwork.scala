@@ -213,35 +213,47 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     * if `prefs` holds the master with no slave, else to the targets its
     * slave preferences missed. That search answers the master's preference
     * with no slave and is the slave-rule fallback of all the others, since
-    * a many-target search returns each target's single-target path. The
-    * bookkeeping is array loops: every [[prefDijkstra]] runs through here,
-    * thousands of them (trip generation) before the JIT has compiled it.
+    * a many-target search returns each target's single-target path.
+    *
+    * Where `prefs` holds a slave road type under more than one master (as
+    * learning's `Preference.all` does), a reach pass (`slaveReach`) runs
+    * once before that type's first restricted search, and each restricted
+    * search of the type runs to the targets the pass reached only; with none
+    * it does not run. A restricted search can settle only what the pass
+    * reaches, so the targets it leaves out are the ones it would have
+    * missed after sweeping all the slave rule lets it reach. Leaving them
+    * out changes no path, as each target's path is its single-target path,
+    * and they fall to the master-cost search as before. Calls with each
+    * slave type under one master (trip generation, B-edge paths, routing)
+    * run no pass.
+    *
+    * The bookkeeping is array loops: every [[prefDijkstra]] runs through
+    * here, thousands of them (trip generation) before the JIT has compiled
+    * it.
     */
   def prefDijkstraMany(src: Int, targets: IndexedSeq[Int], prefs: Seq[Preference]): IndexedSeq[IndexedSeq[Option[Vector[Int]]]] = {
     val ts = targets.toArray
     val ps = prefs.toArray
     val paths = new Array[Array[Option[Vector[Int]]]](ps.length)
+    // by slave road type held under more than one master: the targets its rule reaches
+    val reach = mutable.HashMap.empty[Int, Array[Boolean]]
     // by master id: the targets its master-only search must settle
     val need = new Array[Array[Boolean]](CostType.all.length)
     var p = 0
     while (p < ps.length) {
-      val m = ps(p).masterId
-      if (ps(p).slave.isDefined) paths(p) = search(src, ts, ps(p).master, ps(p).slaveRt)
+      val m = ps(p).masterId; val r = ps(p).slaveRt
+      if (r >= 0) paths(p) =
+        if (ps.exists(o => o.slaveRt == r && o.masterId != m))
+          searchWhere(src, ts, reach.getOrElseUpdate(r, slaveReach(src, ts, r)), ps(p).master, r)
+        else search(src, ts, ps(p).master, r)
       if (need(m) == null) need(m) = new Array[Boolean](ts.length)
       var t = 0
       while (t < ts.length) { if (paths(p) == null || paths(p)(t).isEmpty) need(m)(t) = true; t += 1 }
       p += 1
     }
     // by master id: each target's master-only path, where it was searched
-    val plain = need.indices.map { m =>
-      val at = if (need(m) == null) Array.emptyIntArray else ts.indices.filter(t => need(m)(t)).toArray
-      val found = new Array[Option[Vector[Int]]](ts.length)
-      if (at.nonEmpty) {
-        val ms = search(src, at.map(ts(_)), CostType.byId(m), -1)
-        var i = 0
-        while (i < at.length) { found(at(i)) = ms(i); i += 1 }
-      }
-      found
+    val plain = Array.tabulate(need.length) { m =>
+      if (need(m) == null) null else searchWhere(src, ts, need(m), CostType.byId(m), -1)
     }
     p = 0
     while (p < ps.length) {
@@ -254,6 +266,66 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
       p += 1
     }
     ArraySeq.unsafeWrapArray(paths.map(ArraySeq.unsafeWrapArray(_)))
+  }
+
+  /** [[search]] to the targets `ts(t)` where `want(t)` holds, None at the
+    * others; runs no search when none is wanted.
+    */
+  private def searchWhere(src: Int, ts: Array[Int], want: Array[Boolean], cost: EdgeCost, slaveRt: Int): Array[Option[Vector[Int]]] = {
+    val found = Array.fill[Option[Vector[Int]]](ts.length)(None)
+    var k = 0
+    var t = 0
+    while (t < ts.length) { if (want(t)) k += 1; t += 1 }
+    if (k > 0) {
+      val at = new Array[Int](k)
+      k = 0; t = 0
+      while (t < ts.length) { if (want(t)) { at(k) = t; k += 1 }; t += 1 }
+      val res = search(src, at.map(ts(_)), cost, slaveRt)
+      k = 0
+      while (k < at.length) { found(at(k)) = res(k); k += 1 }
+    }
+    found
+  }
+
+  /** The reach pass: which of `targets` a search from `src` under Algorithm
+    * 2's slave rule for `slaveRt` can reach, by a breadth-first pass that
+    * follows the edges the rule does (where any out-edge of a vertex has the
+    * slave road type, only those). The edges the rule follows depend on the
+    * vertex alone, not on the cost, so a restricted search under any master
+    * settles no target that this pass misses. It may settle fewer: a search
+    * never takes an edge that makes a path cost +inf, and the target behind
+    * it is left to the fallback, as it is without the pass. Stops once every
+    * target is found. It runs on the search workspace: an epoch of its own, `seen`
+    * for visited vertices, the negated-epoch `settled` stamps for targets
+    * and `parent` as its queue.
+    */
+  private[roadnet] def slaveReach(src: Int, targets: Array[Int], slaveRt: Int): Array[Boolean] = {
+    val w = workspace.get
+    val off = this.off; val dst = this.dst; val rt = this.rt
+    val epoch = w.start()
+    val seen = w.seen; val settled = w.settled; val queue = w.parent
+    var remaining = 0
+    targets.foreach { t => if (settled(t) != -epoch) { settled(t) = -epoch; remaining += 1 } }
+    seen(src) = epoch; queue(0) = src
+    if (settled(src) == -epoch) remaining -= 1
+    var head = 0; var tail = 1
+    while (head < tail && remaining > 0) {
+      val u = queue(head); head += 1
+      val lo = off(u); val hi = off(u + 1)
+      var anySat = false
+      var p = lo
+      while (p < hi && !anySat) { if (rt(p) == slaveRt) anySat = true; p += 1 }
+      p = lo
+      while (p < hi) {
+        val v = dst(p)
+        if ((!anySat || rt(p) == slaveRt) && seen(v) != epoch) {
+          seen(v) = epoch; queue(tail) = v; tail += 1
+          if (settled(v) == -epoch) remaining -= 1
+        }
+        p += 1
+      }
+    }
+    targets.map(seen(_) == epoch)
   }
 
   /** The one search loop: Dijkstra from `src` until every vertex of
@@ -314,7 +386,8 @@ object RoadNetwork {
     * current search iff its `seen` stamp is the current epoch, and it is
     * settled iff its `settled` stamp is; a target not yet settled has the
     * negated epoch as its `settled` stamp. A new epoch so resets all of them
-    * in O(1).
+    * in O(1). The reach pass takes an epoch too, and uses `parent` as its
+    * queue.
     */
   private final class Workspace(n: Int, m: Int) extends CostHeap(n) {
     val dist = new Array[Double](n)

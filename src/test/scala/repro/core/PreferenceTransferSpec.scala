@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{Fixtures, SparkSpec}
 import repro.core.PreferenceTransfer._
 import repro.roadnet.{CostType, Preference}
-import repro.util.DenseSolve
+import repro.util.{DenseSolve, LinAlg}
 
 class PreferenceTransferSpec extends SparkSpec {
 
@@ -259,5 +259,27 @@ class PreferenceTransferSpec extends SparkSpec {
     val again = transfer(spark, feats, amr, mu1, mu2)
     assert(res.yHat.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq ===
       again.yHat.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq)
+  }
+
+  test("the pooled column solves equal sequential CG solves bit for bit on the tiny scenario") {
+    val model = Fixtures.tiny.model
+    val feats = features(model.index, PreferenceLearning.byKey(model.learned))
+    val res = transfer(spark, feats, fit.amr, fit.mu1, fit.mu2)
+    val a = systemMatrix(similarityGraph(feats, fit.amr)._1, feats, fit.mu1, fit.mu2)
+    for (x <- 0 until P) {
+      val seq = LinAlg.cg(a, yColumn(feats, x))
+      assert(java.util.Arrays.equals(res.yHat.map(_(x)), seq.x), s"column $x")
+      assert(res.cgIterations(x) === seq.iterations, s"column $x")
+      assert(java.lang.Double.compare(res.cgResidual(x), seq.relResidual) === 0, s"column $x")
+    }
+    assert(res.yHat.indices.forall(i => java.util.Arrays.equals(res.yHat(i), model.transfer.yHat(i))))
+  }
+
+  test("a failed column solve still throws") {
+    // with μ₂ = 0 the isolated B-edge's diagonal is 0, so every column's solve rejects A
+    val feats = IndexedSeq(
+      REdgeFeat(1, 2, 4.0, Seq(11, 12), Some(Preference(CostType.DI, Some(1)))),
+      REdgeFeat(3, 4, 1e4, Seq(99), None))
+    intercept[IllegalArgumentException](transfer(spark, feats, 0.7, fit.mu1, 0.0))
   }
 }

@@ -11,7 +11,8 @@ import scala.util.Random
 
 /** Tests of `RoadNetwork`'s search kernel: tie-exact agreement with the
   * library-heap loop it replaced, for one target, many targets and cost
-  * columns, per-thread workspace safety, and its input checks.
+  * columns, the reach pass of many-preference searches, per-thread
+  * workspace safety, and its input checks.
   */
 class SearchKernelSpec extends SparkSpec {
 
@@ -70,6 +71,50 @@ class SearchKernelSpec extends SparkSpec {
     assert(duplicates > 0 && srcTargets > 0 && unreachable > 0 && fallbacks > 0 && fallbacksWithoutPlain > 0,
       s"duplicates=$duplicates src=$srcTargets unreachable=$unreachable fallbacks=$fallbacks " +
       s"fallbacksWithoutPlain=$fallbacksWithoutPlain")
+  }
+
+  test("the reach pass finds the targets a restricted search reaches, and skipping the rest moves no path (scalacheck)") {
+    var reached = 0; var missed = 0; var skipped = 0
+    val cases = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      net = tieNet(new Random(seed))
+      src <- Gen.choose(0, net.n - 1)
+      targets <- Gen.nonEmptyListOf(Gen.choose(0, net.n - 1))
+    } yield (net, src, targets.toVector)
+    val prop = Prop.forAllNoShrink(cases) { case (net, src, targets) =>
+      val passes = (1 to 6).map { rt =>
+        val reach = net.slaveReach(src, targets.toArray, rt).toSeq
+        val expect = targets.map(refSearch(net, src, _, CostType.DI, rt).isDefined)
+        reached += expect.count(r => r); missed += expect.count(r => !r)
+        // no target reachable: Preference.all's restricted searches of rt do not run
+        if (!reach.contains(true)) skipped += 1
+        reach == expect
+      }
+      passes.forall(identity) && net.prefDijkstraMany(src, targets, prefs) == prefs.map(p => targets.map(refPref(net, src, _, p)))
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, result.status)
+    assert(reached > 0 && missed > 0 && skipped > 0, s"reached=$reached missed=$missed skipped=$skipped")
+  }
+
+  test("an infinite edge cost leaves every preference's paths as the reference loop's") {
+    // the reach pass finds targets that a restricted search under TT cannot settle
+    var unsettled = 0
+    for (seed <- 0 until 40) {
+      val base = tieNet(new Random(9000 + seed))
+      val rnd = new Random(seed)
+      val net = new RoadNetwork(base.vertices,
+        base.edges.map(e => if (rnd.nextInt(3) == 0) e.copy(tt = Double.PositiveInfinity) else e))
+      val all = 0 until net.n
+      for (s <- all) {
+        assert(net.prefDijkstraMany(s, all, prefs) === prefs.map(p => all.map(refPref(net, s, _, p))), s"seed $seed from $s")
+        for (rt <- 1 to 3) {
+          val reach = net.slaveReach(s, all.toArray, rt)
+          unsettled += all.count(t => reach(t) && refSearch(net, s, t, CostType.TT, rt).isEmpty)
+        }
+      }
+    }
+    assert(unsettled > 0)
   }
 
   test("a cost column returns the lambda's path on tie-heavy random networks") {
@@ -131,10 +176,19 @@ class SearchKernelSpec extends SparkSpec {
     for (_ <- 0 until 40) {
       val s = rnd.nextInt(grid.n); val d = rnd.nextInt(grid.n)
       val pref = prefs(rnd.nextInt(prefs.length))
+      val rt = 1 + rnd.nextInt(6)
       assert(net.dijkstra(s, (s + 1) % grid.n, CostType.TT).isDefined) // stops early
       assert(net.prefDijkstra(s, d, pref) === new RoadNetwork(vs, es).prefDijkstra(s, d, pref))
       assert(net.dijkstra(s, grid.n, CostType.DI).isEmpty) // exhausts s's component
       assert(net.dijkstra(s, d, lambda) === new RoadNetwork(vs, es).dijkstra(s, d, lambda))
+      // a reach pass borrows the stamps and `parent`: one that exhausts s's
+      // restricted component, then one that stops early
+      assert(!net.slaveReach(s, Array(grid.n, d), rt)(0))
+      assert(net.prefDijkstra(s, d, pref) === new RoadNetwork(vs, es).prefDijkstra(s, d, pref))
+      assert(net.slaveReach(s, Array(s), rt)(0))
+      assert(net.dijkstra(s, d, lambda) === new RoadNetwork(vs, es).dijkstra(s, d, lambda))
+      val ds = IndexedSeq(d, grid.n, s)
+      assert(net.prefDijkstraMany(s, ds, prefs) === new RoadNetwork(vs, es).prefDijkstraMany(s, ds, prefs))
     }
   }
 
