@@ -70,6 +70,6 @@ object BEdgePaths {
       if (e.isT) e.copy(pref = prefs.getOrElse(e.key, e.pref))
       else e.copy(paths = results(e.key), pref = prefs.getOrElse(e.key, None))
     }
-    new RegionGraphIndex(index.regions.values.toSeq, newRows, index.innerPaths)
+    new RegionGraphIndex(index.regions, newRows, index.innerPaths)
   }
 }

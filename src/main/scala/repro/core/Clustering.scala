@@ -67,9 +67,9 @@ object Clustering {
     }
 
     val regions = mutable.ArrayBuffer.empty[Region]
-    var regionId = 0
+    var nextRegion = 0
     def finalize0(id: Int, nd: Node): Unit = {
-      regions += Region(regionId, nd.members.toSet); regionId += 1
+      regions += Region(nextRegion, nd.members.toSet); nextRegion += 1
       nodes.remove(id); ()
     }
 

@@ -29,45 +29,38 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
   private def fastest(s: Int, d: Int): Vector[Int] =
     net.dijkstra(s, d, CostType.TT).getOrElse(Vector(s, d))
 
+  private def isRegion(r: Int): Boolean = r >= 0 && r < index.nRegions
+
   /** Region-graph path search: Dijkstra over region edges weighted by
     * centroid distance plus a per-hop constant, so direct edges always beat
     * multi-hop detours (triangle inequality) and fewer region edges are
-    * preferred — the paper's routing intuition.
-    */
-  def regionPath(rs: Int, rd: Int): Option[Seq[Int]] =
-    if (rs == rd) Some(Seq(rs))
-    else {
-      val a = index.indexOfRegion(rs); val b = index.indexOfRegion(rd)
-      val rp = if (a < 0 || b < 0) null else searchRegions(a, b)
-      Option(rp).map(p => ArraySeq.unsafeWrapArray(p.map(index.regionId(_))))
-    }
-
-  /** [[regionPath]] between region indices a ≠ b, as region indices, or
-    * null when b is unreachable. The search runs over the index's CSR
+    * preferred — the paper's routing intuition. None when `rs` or `rd` is no
+    * region or `rd` is unreachable. The search runs over the index's CSR
     * adjacency on a [[CostHeap]], which pops equal costs in the order of the
     * library priority queue the search once used, so every region path
     * stays the same.
     */
-  private def searchRegions(a: Int, b: Int): Array[Int] = {
+  def regionPath(rs: Int, rd: Int): Option[Seq[Int]] = {
+    if (!isRegion(rs) || !isRegion(rd)) return None
     val adj = index.adjacency
     val dist = Array.fill(index.nRegions)(Double.PositiveInfinity)
     val parent = new Array[Int](index.nRegions)
     val done = new Array[Boolean](index.nRegions)
     val heap = new CostHeap(index.nRegions)
-    dist(a) = 0.0
-    heap.push(0.0, a)
+    dist(rs) = 0.0
+    heap.push(0.0, rs)
     while (heap.size > 0) {
       val c = heap.minCost; val r = heap.minVertex
       heap.pop()
       if (!done(r)) {
         done(r) = true
-        if (r == b) {
-          var len = 1; var v = b
-          while (v != a) { v = parent(v); len += 1 }
+        if (r == rd) {
+          var len = 1; var v = rd
+          while (v != rs) { v = parent(v); len += 1 }
           val path = new Array[Int](len)
-          v = b
+          v = rd
           for (i <- len - 1 to 0 by -1) { path(i) = v; v = parent(v) }
-          return path
+          return Some(ArraySeq.unsafeWrapArray(path))
         }
         var p = adj.off(r)
         while (p < adj.off(r + 1)) {
@@ -78,7 +71,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
         }
       }
     }
-    null
+    None
   }
 
   /** The s … d slice of the most-traversed stored path, among the rows of
@@ -98,20 +91,15 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
     else index.slice(best, bestS, bestD + 1)
   }
 
-  /** Same-region routing: the most-traversed inner path containing s before
-    * d, else the fastest path.
+  /** Same-region routing: the most-traversed inner path of region `r`
+    * containing s before d, else the fastest path.
     */
   def innerRoute(r: Int, s: Int, d: Int): Vector[Int] = {
-    val i = index.indexOfRegion(r)
-    if (i < 0) fastest(s, d) else innerRouteAt(i, s, d)
-  }
-
-  private def innerRouteAt(i: Int, s: Int, d: Int): Vector[Int] = {
-    val p = storedSlice(Seq(index.innerPathsOf(i)), s, d)
+    val p = if (isRegion(r)) storedSlice(Seq(index.innerPathsOf(r)), s, d) else null
     if (p != null) p else fastest(s, d)
   }
 
-  /** Map a region path (region indices) back to a road path (Section VI).
+  /** Map a region path back to a road path (Section VI).
     *
     * A direct region edge routes s → d with that edge's learned or
     * transferred preference (Algorithm 2) — for a T-edge this
@@ -127,7 +115,7 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
     * the same search. Case 2 passes the fastest path it has already
     * computed.
     */
-  private def mapRegionPath(s: Int, d: Int, rp: Array[Int], fp: => Vector[Int]): Vector[Int] = {
+  private def mapRegionPath(s: Int, d: Int, rp: Seq[Int], fp: => Vector[Int]): Vector[Int] = {
     val rows = (0 until rp.length - 1).map(i => index.edgeRow(rp(i), rp(i + 1)))
     // Case 1 of trajectory-based routing: if a stored trajectory fragment
     // along the region path already runs through s and then d, recommend
@@ -159,27 +147,20 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
   /** Answer a routing request; always returns a valid path s → d. */
   def route(s: Int, d: Int): Vector[Int] = {
     if (s == d) return Vector(s)
-    val rs = index.regionIndexOf(s)
-    val rd = index.regionIndexOf(d)
+    val rs = index.regionOf(s)
+    val rd = index.regionOf(d)
     if (rs >= 0 && rd >= 0) {
-      if (rs == rd) innerRouteAt(rs, s, d) // Case 1, same region: most-traversed inner path
-      else {
-        // Case 1, different regions: route on the region graph
-        val rp = searchRegions(rs, rd)
-        if (rp != null) mapRegionPath(s, d, rp, fastest(s, d)) else fastest(s, d)
-      }
+      if (rs == rd) innerRoute(rs, s, d) // Case 1, same region: most-traversed inner path
+      else // Case 1, different regions: route on the region graph
+        regionPath(rs, rd).fold(fastest(s, d))(mapRegionPath(s, d, _, fastest(s, d)))
     } else {
       // Case 2 (Section VI): find candidate regions *visited by the
       // fastest path* from s to d; with fewer than two candidates the
       // fastest path is returned unchanged (paper, Fig. 8).
       val fp = fastest(s, d)
-      val a = if (rs >= 0) rs else fp.iterator.map(index.regionIndexOf).find(_ >= 0).getOrElse(-1)
-      val b = if (rd >= 0) rd else fp.reverseIterator.map(index.regionIndexOf).find(_ >= 0).getOrElse(-1)
-      if (a < 0 || b < 0 || a == b) fp
-      else {
-        val rp = searchRegions(a, b)
-        if (rp != null) mapRegionPath(s, d, rp, fp) else fp
-      }
+      val a = if (rs >= 0) rs else fp.iterator.map(index.regionOf).find(_ >= 0).getOrElse(-1)
+      val b = if (rd >= 0) rd else fp.reverseIterator.map(index.regionOf).find(_ >= 0).getOrElse(-1)
+      if (a == b) fp else regionPath(a, b).fold(fp)(mapRegionPath(s, d, _, fp))
     }
   }
 }

@@ -48,21 +48,21 @@ object L2RPipeline {
   }
 
   object Model {
-    /** SHA-256 (hex) of a canonical encoding of `index`, read from its map
+    /** SHA-256 (hex) of a canonical encoding of `index`, read from its
       * views: regions by id (members sorted; centroid bits, top road types
       * and transfer centres in order), the vertex → region map by vertex,
       * region edges by key (endpoints, isT, preference, stored paths with
-      * their counts in order) and inner paths by region. Equal digests mean
-      * equal routing infrastructure, whatever the serialised bytes.
+      * their counts in order) and the inner paths of each region that has
+      * some, by id. Equal digests mean equal routing infrastructure,
+      * whatever the serialised bytes.
       */
     def digest(index: RegionGraphIndex): String = {
       val md = MessageDigest.getInstance("SHA-256")
       val out = new DataOutputStream(new DigestOutputStream(OutputStream.nullOutputStream(), md))
       def ints(xs: Iterable[Int]): Unit = { out.writeInt(xs.size); xs.foreach(out.writeInt) }
       def paths(ps: Seq[PathRec]): Unit = { out.writeInt(ps.size); ps.foreach { p => ints(p.verts); out.writeInt(p.count) } }
-      val regions = index.regions.values.toSeq.sortBy(_.id)
-      out.writeInt(regions.size)
-      regions.foreach { r =>
+      out.writeInt(index.regions.size)
+      index.regions.foreach { r =>
         out.writeInt(r.id); ints(r.members.sorted); out.writeDouble(r.cx); out.writeDouble(r.cy)
         ints(r.topRts); ints(r.transferCenters)
       }
@@ -76,9 +76,9 @@ object L2RPipeline {
         out.writeInt(e.pref.fold(-1)(_.masterId)); out.writeInt(e.pref.fold(-1)(_.slaveRt))
         paths(e.paths)
       }
-      val inner = index.innerPaths.toSeq.sortBy(_._1)
+      val inner = index.innerPaths.indices.filter(index.innerPaths(_).nonEmpty)
       out.writeInt(inner.size)
-      inner.foreach { case (r, ps) => out.writeInt(r); paths(ps) }
+      inner.foreach { r => out.writeInt(r); paths(index.innerPaths(r)) }
       out.flush()
       md.digest().map("%02x".format(_)).mkString
     }

@@ -38,9 +38,9 @@ object PreferenceLearning {
     */
   final case class LearnedPref(ri: Int, rj: Int, pref: Preference, avgSim: Double) {
     def key: (Int, Int) = if (ri < rj) (ri, rj) else (rj, ri)
-    /** `pref.masterId`; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    /** `pref.masterId`; kept for l2rbench until the benchmark PR moves it to the final API. */
     def masterId: Int = pref.masterId
-    /** `pref.slaveRt`; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    /** `pref.slaveRt`; kept for l2rbench until the benchmark PR moves it to the final API. */
     def slaveRt: Int = pref.slaveRt
   }
 

@@ -36,9 +36,9 @@ object PreferenceTransfer {
   final case class REdgeFeat(ri: Int, rj: Int, dis: Double, fpairs: Seq[Int], label: Option[Preference]) {
     def key: (Int, Int) = if (ri < rj) (ri, rj) else (rj, ri)
     def isT: Boolean = label.isDefined
-    /** The label's master id, or -1; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    /** The label's master id, or -1; kept for l2rbench until the benchmark PR moves it to the final API. */
     def masterId: Int = label.fold(-1)(_.masterId)
-    /** The label's slave road type, or -1; kept for l2rbench until it moves to the final API (ROADMAP item 1). */
+    /** The label's slave road type, or -1; kept for l2rbench until the benchmark PR moves it to the final API. */
     def slaveRt: Int = label.fold(-1)(_.slaveRt)
   }
 

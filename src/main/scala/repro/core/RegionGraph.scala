@@ -40,14 +40,15 @@ final case class RegionEdgeData(
 /** The routing infrastructure of Section IV: region vertices, region edges
   * and their stored paths, and inner-region paths, held in primitive arrays.
   *
-  * Built from the regions, in any order, the edge rows and each region's
-  * inner paths. It rejects a negative or repeated region id, a repeated
-  * edge key, an edge to an unknown region and inner paths of an unknown
-  * region. The serialised fields are arrays only:
-  *  - the regions by ascending id (`regionId`, centroid `cx`/`cy`), with
-  *    three concatenated lists and their offsets (region i's entries are
-  *    positions off(i) until off(i + 1)): top road types, members and
-  *    transfer centres;
+  * A region's id is its position. The index is built from the regions in
+  * id order, so region i has id i as [[Clustering.cluster]] numbers them,
+  * from the edge rows, and from the regions' inner paths by id (a region
+  * past the end of `inner` has none). It rejects a region whose id is not
+  * its position, a repeated edge key, an edge to an unknown region and inner
+  * paths of an unknown region. The serialised fields are arrays only:
+  *  - the regions by id (centroid `cx`/`cy`), with three concatenated lists
+  *    and their offsets (region i's entries are positions off(i) until
+  *    off(i + 1)): top road types, members and transfer centres;
   *  - one row per region edge, in the order given: endpoints, isT and a
   *    preference code (-1 for none, else [[Preference.code]]);
   *  - every stored path as a byte range of one array (`pathOff`,
@@ -63,27 +64,27 @@ final case class RegionEdgeData(
   * Derived on first use and never serialised: the vertex → region array
   * (from the members), the region adjacency as CSR (each region's
   * neighbours in edge-row order, which fixes the region search's ties,
-  * with the edge row and the centroid distance), and the map views
-  * `regions`, `vertexRegion`, `edges` and `innerPaths`. A view of at most
-  * four entries iterates in id or row order, a larger one in hash order
-  * (the order of an immutable hash map depends on its keys alone);
-  * `edgeRows` reads the rows in row order. The router ([[L2RRouter]])
-  * reads the arrays and the stored paths through [[indexIn]] and [[slice]].
+  * with the edge row and the centroid distance), and the views: `regions`
+  * and `innerPaths` are `IndexedSeq`s by id, `vertexRegion` and `edges`
+  * maps. A map of at most four entries iterates in the order it was built,
+  * a larger one in hash order (the order of an immutable hash map depends on
+  * its keys alone); `edgeRows` reads the rows in row order. The router
+  * ([[L2RRouter]]) reads the arrays and the stored paths through
+  * [[indexIn]] and [[slice]].
   */
-@SerialVersionUID(2L)
-final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Map[Int, Seq[PathRec]])
+@SerialVersionUID(3L)
+final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]])
     extends Serializable {
   import RegionGraphIndex.packPaths
 
-  /** The regions by ascending id; read while constructing only. */
-  @transient private[this] val byId: Array[RegionInfo] = infos.toArray.sortBy(_.id)
+  /** The regions by id; read while constructing only. */
+  @transient private[this] val byId: Array[RegionInfo] = infos.toArray
 
-  private[core] val regionId: Array[Int] = byId.map(_.id)
-  require(regionId.headOption.forall(_ >= 0) && regionId.indices.drop(1).forall(i => regionId(i - 1) < regionId(i)),
-    "a region id is negative or repeated")
+  require(byId.indices.forall(i => byId(i).id == i), "a region's id is not its position")
   require(rows.map(_.key).distinct.size == rows.size, "an edge key is repeated")
-  require(rows.forall(e => indexOfRegion(e.ri) >= 0 && indexOfRegion(e.rj) >= 0), "an edge joins an unknown region")
-  require(inner.keys.forall(indexOfRegion(_) >= 0), "inner paths of an unknown region")
+  require(rows.forall(e => math.min(e.ri, e.rj) >= 0 && math.max(e.ri, e.rj) < byId.length),
+    "an edge joins an unknown region")
+  require(inner.size <= byId.length, "inner paths of an unknown region")
 
   private val cx: Array[Double] = byId.map(_.cx)
   private val cy: Array[Double] = byId.map(_.cy)
@@ -98,53 +99,40 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
   private val edgeIsT: Array[Boolean] = rows.map(_.isT).toArray
   private[core] val edgePref: Array[Byte] = rows.map(_.pref.fold(-1)(Preference.code).toByte).toArray
   /** The stored paths, packed in one pass; read while constructing only. */
-  @transient private[this] val packed: RegionGraphIndex.Packed = packPaths(rows, byId, inner)
+  @transient private[this] val packed: RegionGraphIndex.Packed = packPaths(rows, inner, byId.length)
   private[core] val groupOff: Array[Int] = packed.groupOff
   /** Path p's bytes are positions pathOff(p) until pathOff(p + 1) (tests read the sizes). */
   private[core] val pathOff: Array[Int] = packed.pathOff
   private val pathBytes: Array[Byte] = packed.bytes
   private[core] val pathCount: Array[Int] = packed.count
 
-  def nRegions: Int = regionId.length
+  def nRegions: Int = cx.length
   def nEdges: Int = edgeRi.length
   def nTEdges: Int = edgeIsT.count(identity)
 
-  /** The region index (position in `regionId`) of region `id`, or -1. */
-  private[core] def indexOfRegion(id: Int): Int = {
-    val i = java.util.Arrays.binarySearch(regionId, id)
-    if (i >= 0) i else -1
-  }
-
-  /** Each vertex's region index, -1 for none; a member of several regions
-    * is in the one with the largest id, and vertices past the last member
-    * are in none.
+  /** Each vertex's region, -1 for none; a member of several regions is in
+    * the one with the largest id, and vertices past the last member are in
+    * none.
     */
-  @transient private lazy val vertexIndex: Array[Int] = {
+  @transient private lazy val regionByVertex: Array[Int] = {
     val out = Array.fill(if (member.isEmpty) 0 else member.max + 1)(-1)
-    for (i <- regionId.indices; p <- memberOff(i) until memberOff(i + 1)) out(member(p)) = i
+    for (r <- 0 until nRegions; p <- memberOff(r) until memberOff(r + 1)) out(member(p)) = r
     out
   }
 
-  /** The region index of vertex `v`, or -1 when `v` is in no region. */
-  private[core] def regionIndexOf(v: Int): Int = {
-    val vi = vertexIndex
-    if (v >= 0 && v < vi.length) vi(v) else -1
-  }
-
-  /** The region id of vertex `v`, or -1 when `v` is in no region. */
+  /** The region of vertex `v`, or -1 when `v` is in no region. */
   def regionOf(v: Int): Int = {
-    val i = regionIndexOf(v)
-    if (i < 0) -1 else regionId(i)
+    val vr = regionByVertex
+    if (v >= 0 && v < vr.length) vr(v) else -1
   }
 
-  /** The region adjacency: region i's neighbours are `nbr` at positions
-    * off(i) until off(i + 1), joined by edge row `row`, whose centroids lie
+  /** The region adjacency: region r's neighbours are `nbr` at positions
+    * off(r) until off(r + 1), joined by edge row `row`, whose centroids lie
     * `dist` km apart.
     */
   @transient private[core] lazy val adjacency: RegionGraphIndex.Adjacency = {
-    val a = edgeRi.map(indexOfRegion); val b = edgeRj.map(indexOfRegion)
     val deg = new Array[Int](nRegions)
-    a.indices.foreach { e => deg(a(e)) += 1; deg(b(e)) += 1 }
+    edgeRi.indices.foreach { e => deg(edgeRi(e)) += 1; deg(edgeRj(e)) += 1 }
     val off = deg.scanLeft(0)(_ + _)
     val next = off.clone()
     val nbr = new Array[Int](off(nRegions)); val row = new Array[Int](off(nRegions))
@@ -153,17 +141,17 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
       val p = next(u); next(u) += 1
       nbr(p) = v; row(p) = e; dist(p) = math.hypot(cx(u) - cx(v), cy(u) - cy(v))
     }
-    a.indices.foreach { e => add(a(e), b(e), e); add(b(e), a(e), e) }
+    edgeRi.indices.foreach { e => add(edgeRi(e), edgeRj(e), e); add(edgeRj(e), edgeRi(e), e) }
     new RegionGraphIndex.Adjacency(off, nbr, row, dist)
   }
 
   /** The stored paths of edge row `e`. */
   private[core] def edgePaths(e: Int): Range = groupOff(e) until groupOff(e + 1)
 
-  /** The inner paths of region index `i`. */
-  private[core] def innerPathsOf(i: Int): Range = groupOff(nEdges + i) until groupOff(nEdges + i + 1)
+  /** The inner paths of region `r`. */
+  private[core] def innerPathsOf(r: Int): Range = groupOff(nEdges + r) until groupOff(nEdges + r + 1)
 
-  /** The edge row between region indices `a` and `b`, or -1. */
+  /** The edge row between regions `a` and `b`, or -1. */
   private[core] def edgeRow(a: Int, b: Int): Int = {
     val adj = adjacency
     var p = adj.off(a)
@@ -227,15 +215,14 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
     PathRec(verts.toList, pathCount(p))
   }.to(ArraySeq)
 
-  /** The regions by id. */
-  @transient lazy val regions: Map[Int, RegionInfo] = regionId.indices.map { i =>
-    regionId(i) -> RegionInfo(regionId(i), ints(memberOff, member, i), cx(i), cy(i),
-      ints(topRtOff, topRt, i).toList, ints(tcOff, tc, i))
-  }.toMap
+  /** The regions, by id. */
+  @transient lazy val regions: IndexedSeq[RegionInfo] = IndexedSeq.tabulate(nRegions) { r =>
+    RegionInfo(r, ints(memberOff, member, r), cx(r), cy(r), ints(topRtOff, topRt, r).toList, ints(tcOff, tc, r))
+  }
 
-  /** The vertex → region id lookup of every region member. */
+  /** The vertex → region lookup of every region member. */
   @transient lazy val vertexRegion: Map[Int, Int] =
-    regionId.indices.flatMap(i => (memberOff(i) until memberOff(i + 1)).map(p => member(p) -> regionId(i))).toMap
+    (0 until nRegions).flatMap(r => (memberOff(r) until memberOff(r + 1)).map(member(_) -> r)).toMap
 
   /** The edge rows, in row order. */
   private[core] def edgeRows: IndexedSeq[RegionEdgeData] = edgeRi.indices.map { e =>
@@ -246,9 +233,9 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
   /** The region edges by their (min, max) key. */
   @transient lazy val edges: Map[(Int, Int), RegionEdgeData] = edgeRows.map(e => e.key -> e).toMap
 
-  /** The inner-region paths of every region that has some. */
-  @transient lazy val innerPaths: Map[Int, Seq[PathRec]] =
-    regionId.indices.filter(innerPathsOf(_).nonEmpty).map(i => regionId(i) -> pathRecs(innerPathsOf(i))).toMap
+  /** The inner-region paths, by region id (empty for a region with none). */
+  @transient lazy val innerPaths: IndexedSeq[Seq[PathRec]] =
+    IndexedSeq.tabulate(nRegions)(r => pathRecs(innerPathsOf(r)))
 }
 
 object RegionGraphIndex {
@@ -275,16 +262,16 @@ object RegionGraphIndex {
     */
   private final class Packed(val groupOff: Array[Int], val pathOff: Array[Int], val bytes: Array[Byte], val count: Array[Int])
 
-  /** Packs the path groups, each edge row's paths and then each region's
-    * inner paths, in one pass. (Here, not in the class, so that `inner` is
-    * read by no closure there and stays a constructor argument, not a
-    * serialised field.)
+  /** Packs the path groups, each edge row's paths and then each of the
+    * `nRegions` regions' inner paths, in one pass. (Here, not in the class,
+    * so that `inner` is read by no closure there and stays a constructor
+    * argument, not a serialised field.)
     */
-  private def packPaths(rows: Seq[RegionEdgeData], byId: Array[RegionInfo], inner: Map[Int, Seq[PathRec]]): Packed = {
+  private def packPaths(rows: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]], nRegions: Int): Packed = {
     val groupOff = new mutable.ArrayBuilder.ofInt; val pathOff = new mutable.ArrayBuilder.ofInt
     val bytes = new mutable.ArrayBuilder.ofByte; val count = new mutable.ArrayBuilder.ofInt
     groupOff += 0; pathOff += 0
-    for (group <- rows.iterator.map(_.paths) ++ byId.iterator.map(r => inner.getOrElse(r.id, Nil))) {
+    for (group <- rows.iterator.map(_.paths) ++ inner.iterator.padTo(nRegions, Nil)) {
       for (path <- group) {
         var prev = 0
         for (v <- path.verts) {
@@ -396,9 +383,11 @@ object RegionGraph {
     * a chain of vertices in no region, that are not already T-edges; the
     * keys come sorted. These are the pairs a breadth-first search from each
     * region's members finds when it stops at other regions' vertices, found
-    * in one pass: every road edge between two regions gives a pair, and
-    * each connected set of region-less vertices is labelled once and pairs
-    * all the regions it touches. `vertexRegion` is [[vertexRegions]].
+    * in one union-find pass over the road edges: an edge between two
+    * regions gives a pair, an edge between two region-less vertices joins
+    * their sets, and an edge between a region and a region-less vertex is a
+    * contact. Each set then pairs all the regions it has contacts with.
+    * `vertexRegion` is [[vertexRegions]].
     */
   def bEdges(net: RoadNetwork, vertexRegion: Array[Int], existing: Set[(Int, Int)]): Seq[(Int, Int)] = {
     val found = mutable.Set.empty[(Int, Int)]
@@ -406,24 +395,22 @@ object RegionGraph {
       val key = if (a < b) (a, b) else (b, a)
       if (!existing.contains(key)) found += key
     }
+    val parent = Array.tabulate(net.n)(identity)
+    def find(v: Int): Int = {
+      var u = v
+      while (parent(u) != u) { parent(u) = parent(parent(u)); u = parent(u) }
+      u
+    }
+    val contacts = mutable.ArrayBuffer.empty[(Int, Int)] // (region-less vertex, region)
     net.edges.foreach { e =>
       val a = vertexRegion(e.src); val b = vertexRegion(e.dst)
       if (a >= 0 && b >= 0) pair(a, b)
+      else if (a < 0 && b < 0) parent(find(e.src)) = find(e.dst)
+      else if (a < 0) contacts += ((e.src, b))
+      else contacts += ((e.dst, a))
     }
-    val seen = new Array[Boolean](net.n)
-    val stack = mutable.Stack.empty[Int]
-    for (v0 <- 0 until net.n if vertexRegion(v0) < 0 && !seen(v0)) {
-      val touched = mutable.Set.empty[Int]
-      def visit(v: Int): Unit =
-        if (vertexRegion(v) >= 0) touched += vertexRegion(v)
-        else if (!seen(v)) { seen(v) = true; stack.push(v) }
-      visit(v0)
-      while (stack.nonEmpty) {
-        val u = stack.pop()
-        net.adj(u).foreach(ei => visit(net.edges(ei).dst))
-        net.radj(u).foreach(ei => visit(net.edges(ei).src))
-      }
-      val rs = touched.toArray.sorted
+    contacts.groupMap(c => find(c._1))(_._2).values.foreach { touched =>
+      val rs = touched.distinct.sorted
       for (i <- rs.indices; j <- i + 1 until rs.length) pair(rs(i), rs(j))
     }
     found.toSeq.sorted
@@ -436,7 +423,10 @@ object RegionGraph {
             regions: Seq[Clustering.Region], params: Params = Params()): RegionGraphIndex =
     build(net, trips.collect().toSeq, regions, params)
 
-  /** Assemble the full (pre-preference) region graph on the driver. */
+  /** Assemble the full (pre-preference) region graph on the driver;
+    * `regions` come in id order, region i with id i, as
+    * [[Clustering.cluster]] numbers them.
+    */
   def build(net: RoadNetwork, trips: Seq[Trip], regions: Seq[Clustering.Region], params: Params): RegionGraphIndex = {
     val vertexRegion = vertexRegions(net.n, regions)
     val rows = trips.map(extract(_, vertexRegion(_), params.maxSegmentsPerTrip))
@@ -450,7 +440,8 @@ object RegionGraph {
     val tEdgeMap = tPaths.map { case ((u, v), ps) => (u, v) -> RegionEdgeData(u, v, isT = true, pathRecs(ps), None) }
     val bKeys = bEdges(net, vertexRegion, tEdgeMap.keySet)
     val bEdgeMap = bKeys.map { case (u, v) => (u, v) -> RegionEdgeData(u, v, isT = false, Nil, None) }.toMap
-    new RegionGraphIndex(infos, (tEdgeMap ++ bEdgeMap).values.toSeq, inner.view.mapValues(pathRecs).toMap)
+    val innerByRegion = regions.map(r => pathRecs(inner.getOrElse(r.id, Nil)))
+    new RegionGraphIndex(infos, (tEdgeMap ++ bEdgeMap).values.toSeq, innerByRegion)
   }
 
   /** Counts equal (key, value) rows and keeps each key's `n` most frequent

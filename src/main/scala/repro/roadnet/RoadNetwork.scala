@@ -84,13 +84,6 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     buf.map(_.toArray)
   }
 
-  /** Incoming edge indices per vertex. */
-  val radj: Array[Array[Int]] = {
-    val buf = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    edges.zipWithIndex.foreach { case (e, i) => buf(e.dst) += i }
-    buf.map(_.toArray)
-  }
-
   /** The edge from u to v, if any: of parallel u → v edges, the last in
     * `edges`. None when u is not a vertex id.
     */

@@ -31,15 +31,21 @@ object TestNets {
   def smallGrid(cols: Int = 12, rows: Int = 10, seed: Long = 3L): RoadNetwork =
     RoadNetGen.grid(RoadNetGen.Config(cols, rows, spacingKm = 0.3, seed = seed))
 
+  /** Each vertex's neighbours over the undirected topology: the heads of
+    * its out-edges, then the tails of its in-edges, in edge order.
+    */
+  private def undirected(net: RoadNetwork): Array[Seq[Int]] = {
+    val in = Array.fill(net.n)(mutable.ArrayBuffer.empty[Int])
+    net.edges.foreach(e => in(e.dst) += e.src)
+    Array.tabulate(net.n)(u => net.adj(u).toSeq.map(net.edges(_).dst) ++ in(u))
+  }
+
   /** Vertices reachable from `src` over the undirected topology. */
   def reachableFrom(net: RoadNetwork, src: Int): Set[Int] = {
-    val seen = scala.collection.mutable.Set(src)
+    val neigh = undirected(net)
+    val seen = mutable.Set(src)
     var frontier = List(src)
-    while (frontier.nonEmpty) {
-      frontier = frontier.flatMap { u =>
-        (net.adj(u).map(net.edges(_).dst) ++ net.radj(u).map(net.edges(_).src)).filter(seen.add)
-      }
-    }
+    while (frontier.nonEmpty) frontier = frontier.flatMap(neigh(_).filter(seen.add))
     seen.toSet
   }
 
@@ -48,14 +54,13 @@ object TestNets {
     * stops at (and records) every vertex for which `stopAt` holds.
     */
   def bfsUntil(net: RoadNetwork, sources: Iterable[Int], stopAt: Int => Boolean): Set[Int] = {
+    val neigh = undirected(net)
     val seen = new Array[Boolean](net.n)
     val stops = mutable.Set.empty[Int]
     val queue = mutable.Queue.empty[Int]
     sources.foreach { s => if (!seen(s)) { seen(s) = true; queue.enqueue(s) } }
     while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      val neigh = net.adj(u).map(net.edges(_).dst) ++ net.radj(u).map(net.edges(_).src)
-      neigh.foreach { v =>
+      neigh(queue.dequeue()).foreach { v =>
         if (!seen(v)) {
           seen(v) = true
           if (stopAt(v)) stops += v

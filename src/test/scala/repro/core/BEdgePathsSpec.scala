@@ -29,7 +29,7 @@ class BEdgePathsSpec extends SparkSpec {
   /** `materialise` of B-edges between `regions` under `prefs`. */
   private def bPaths(regions: Seq[RegionInfo], prefs: Map[(Int, Int), Option[Preference]]): Map[(Int, Int), Seq[Seq[Int]]] = {
     val edges = prefs.keys.toSeq.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
-    val idx = new RegionGraphIndex(regions, edges, Map.empty)
+    val idx = new RegionGraphIndex(regions, edges, Nil)
     BEdgePaths.materialise(spark, net, idx, prefs, tcsPerSide).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
   }
 
@@ -82,17 +82,17 @@ class BEdgePathsSpec extends SparkSpec {
 
   test("materialise keeps the edge rows in their order when there are more than four") {
     val rows = fivePrefs.keys.toSeq.sorted.reverse.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
-    val idx = new RegionGraphIndex(five, rows, Map.empty)
+    val idx = new RegionGraphIndex(five, rows, Nil)
     assert(idx.edges.keys.toSeq !== rows.map(_.key), "the rows came in the edges map's order")
     val out = BEdgePaths.materialise(spark, net, idx, fivePrefs, tcsPerSide)
-    val inOrder = new RegionGraphIndex(five, rows.map(e => out.edges(e.key)), Map.empty)
+    val inOrder = new RegionGraphIndex(five, rows.map(e => out.edges(e.key)), Nil)
     assert(Fixtures.serialise(out).sameElements(Fixtures.serialise(inOrder)), "materialise reordered the edge rows")
   }
 
   test("materialise attaches paths and preferences to every B-edge") {
     val regions = Seq(Clustering.Region(0, Set(0, 1)), Clustering.Region(1, Set(net.n - 1, net.n - 2)))
     val infos = regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray, 2))
-    val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = false, Nil, None)), Map.empty)
+    val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = false, Nil, None)), Nil)
     val pref = Some(Preference(CostType.DI, None))
     val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref), tcsPerSide)
     val e = out.edges((0, 1))
@@ -109,7 +109,7 @@ class BEdgePathsSpec extends SparkSpec {
     val regions = Seq(Clustering.Region(0, Set(0)), Clustering.Region(1, Set(9)))
     val infos = regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray, 2))
     val tPaths = Seq(PathRec(Seq(0, 1), 4))
-    val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = true, tPaths, None)), Map.empty)
+    val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = true, tPaths, None)), Nil)
     val pref = Some(Preference(CostType.TT, Some(3)))
     val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref), tcsPerSide)
     assert(out.edges((0, 1)).paths === tPaths)

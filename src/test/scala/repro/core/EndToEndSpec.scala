@@ -62,7 +62,7 @@ class EndToEndSpec extends SparkSpec {
     val infos = regions.map(r => RegionGraph.regionInfo(net, r, Array(r.id), 2))
     val keys = Seq((0, 1), (0, 2), (1, 3), (2, 3))
     val found = for (order <- Seq(keys, keys.reverse)) yield {
-      val index = new RegionGraphIndex(infos, order.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }, Map.empty)
+      val index = new RegionGraphIndex(infos, order.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }, Nil)
       val router = new L2RRouter(net, index)
       for (a <- 0 until 4; b <- 0 until 4) assert(router.regionPath(a, b) === refRegionPath(index, a, b), s"$order: $a to $b")
       router.regionPath(0, 3)
@@ -80,7 +80,7 @@ class EndToEndSpec extends SparkSpec {
     private def edgeBetween(a: Int, b: Int) = index.edges.get(if (a < b) (a, b) else (b, a))
 
     private def innerRoute(r: Int, s: Int, d: Int): Vector[Int] = {
-      val cands = index.innerPaths.getOrElse(r, Nil).flatMap { pr =>
+      val cands = index.innerPaths(r).flatMap { pr =>
         val is = pr.verts.indexOf(s); val id = pr.verts.indexOf(d)
         if (is >= 0 && id > is) Some((pr.count, pr.verts.slice(is, id + 1).toVector)) else None
       }
@@ -141,7 +141,7 @@ class EndToEndSpec extends SparkSpec {
   test("regionPath equals the library-queue search over the map views for every region pair") {
     val index = sc.model.index
     val router = sc.model.router(sc.net)
-    val ids = index.regions.keys.toSeq.sorted
+    val ids = index.regions.indices
     for (a <- ids; b <- ids) assert(router.regionPath(a, b) === refRegionPath(index, a, b), s"region $a to $b")
   }
 

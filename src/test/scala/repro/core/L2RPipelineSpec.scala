@@ -75,7 +75,7 @@ class L2RPipelineSpec extends SparkSpec {
     val idx = sc.model.index
     val rows = idx.edgeRows
     val stored = rows.indices.flatMap(e => idx.edgePaths(e).zip(rows(e).paths)) ++
-      (0 until idx.nRegions).flatMap(i => idx.innerPathsOf(i).zip(idx.innerPaths.getOrElse(idx.regionId(i), Nil)))
+      (0 until idx.nRegions).flatMap(i => idx.innerPathsOf(i).zip(idx.innerPaths(i)))
     assert(stored.map(_._1) === (0 until idx.pathCount.length) && stored.nonEmpty)
     stored.foreach { case (p, rec) =>
       assert(idx.pathOff(p + 1) - idx.pathOff(p) <= 2 * rec.verts.length, s"path $p: $rec")

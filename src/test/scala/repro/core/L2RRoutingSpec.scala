@@ -12,14 +12,14 @@ class L2RRoutingSpec extends SparkSpec {
     Clustering.Region(1, Set(5, 6)),
     Clustering.Region(2, Set(8, 9)))
 
-  private def mkIndex(edges: Seq[RegionEdgeData], inner: Map[Int, Seq[PathRec]] = Map.empty): RegionGraphIndex =
+  private def mkIndex(edges: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]] = Nil): RegionGraphIndex =
     new RegionGraphIndex(regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray.sorted, 2)), edges, inner)
 
   private val idx = mkIndex(
     Seq(
       RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 3)), None),
       RegionEdgeData(1, 2, isT = true, Seq(PathRec(Seq(6, 7, 8), 2)), None)),
-    Map(0 -> Seq(PathRec(Seq(0, 1, 2), 5))))
+    Seq(Seq(PathRec(Seq(0, 1, 2), 5))))
 
   private val router = new L2RRouter(net, idx)
 
@@ -44,6 +44,15 @@ class L2RRoutingSpec extends SparkSpec {
     val lonely = mkIndex(Seq(RegionEdgeData(0, 1, isT = true, Seq(PathRec(Seq(2, 3, 4, 5), 1)), None)))
     val r = new L2RRouter(net, lonely)
     assert(r.regionPath(0, 2).isEmpty)
+  }
+
+  test("an id that is no region's gives no region path and the fastest inner route") {
+    for (bad <- Seq(-1, regions.size); good <- regions.indices) {
+      assert(router.regionPath(bad, good).isEmpty && router.regionPath(good, bad).isEmpty, s"$bad, $good")
+      assert(router.regionPath(bad, bad).isEmpty)
+    }
+    for (bad <- Seq(-1, regions.size)) assert(router.innerRoute(bad, 0, 2) === net.dijkstra(0, 2, CostType.TT).get)
+    assert(router.innerRoute(0, 0, 2) === Vector(0, 1, 2))
   }
 
   test("cross-region routing stitches T-edge paths") {
@@ -83,7 +92,7 @@ class L2RRoutingSpec extends SparkSpec {
   }
 
   test("falls back to fastest when the region graph cannot help") {
-    val empty = new RegionGraphIndex(Nil, Nil, Map.empty)
+    val empty = new RegionGraphIndex(Nil, Nil, Nil)
     val r = new L2RRouter(net, empty)
     assert(r.route(0, 9) === net.dijkstra(0, 9, _.tt).get)
   }
@@ -97,7 +106,7 @@ class L2RRoutingSpec extends SparkSpec {
       val rs = Seq(Clustering.Region(0, a), Clustering.Region(1, b))
       val infos = rs.map(r => RegionGraph.regionInfo(g, r, r.members.toArray, 2))
       def routed(pref: Preference): Vector[Int] = new L2RRouter(g, new RegionGraphIndex(infos,
-        Seq(RegionEdgeData(0, 1, isT = false, Nil, Some(pref))), Map.empty)).route(s, d)
+        Seq(RegionEdgeData(0, 1, isT = false, Nil, Some(pref))), Nil)).route(s, d)
       assert(routed(Preference(CostType.TT, None)) === fp)
       assert(routed(Preference(CostType.DI, None)) === g.dijkstra(s, d, CostType.DI).get)
     }

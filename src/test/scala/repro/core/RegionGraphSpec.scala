@@ -158,17 +158,18 @@ class RegionGraphSpec extends SparkSpec {
     val net = TestNets.line(6)
     def info(id: Int, vs: Int*) = RegionGraph.regionInfo(net, Clustering.Region(id, vs.toSet), vs.toArray, 2)
     def edge(a: Int, b: Int) = RegionEdgeData(a, b, isT = false, Nil, None)
-    val regions = Seq(info(2, 3, 4), info(0, 0, 1))
-    val ok = new RegionGraphIndex(regions, Seq(edge(2, 0)), Map(2 -> Seq(PathRec(Seq(3, 4), 1))))
-    assert(ok.nRegions === 2 && ok.nEdges === 1 && ok.regionOf(4) === 2)
+    val regions = Seq(info(0, 0, 1), info(1, 3, 4))
+    val ok = new RegionGraphIndex(regions, Seq(edge(1, 0)), Seq(Nil, Seq(PathRec(Seq(3, 4), 1))))
+    assert(ok.nRegions === 2 && ok.nEdges === 1 && ok.regionOf(4) === 1 && ok.innerPaths(1).size === 1)
     def rejects(why: String)(index: => RegionGraphIndex): Unit =
       assert(intercept[IllegalArgumentException](index).getMessage === s"requirement failed: $why")
-    rejects("a region id is negative or repeated")(new RegionGraphIndex(regions :+ info(-1, 5), Nil, Map.empty))
-    rejects("a region id is negative or repeated")(new RegionGraphIndex(regions :+ info(2, 5), Nil, Map.empty))
-    rejects("an edge key is repeated")(new RegionGraphIndex(regions, Seq(edge(0, 2), edge(2, 0)), Map.empty))
-    rejects("an edge joins an unknown region")(new RegionGraphIndex(regions, Seq(edge(0, 1)), Map.empty))
-    rejects("an edge joins an unknown region")(new RegionGraphIndex(regions, Seq(edge(5, 2)), Map.empty))
-    rejects("inner paths of an unknown region")(new RegionGraphIndex(regions, Nil, Map(1 -> Seq(PathRec(Seq(0, 1), 1)))))
+    // a region's id must be its position
+    for (ids <- Seq(Seq(0, 2), Seq(0, 1, 1), Seq(0, 1, -1), Seq(-1, 0), Seq(1, 0)))
+      rejects("a region's id is not its position")(new RegionGraphIndex(ids.map(info(_, 5)), Nil, Nil))
+    rejects("an edge key is repeated")(new RegionGraphIndex(regions, Seq(edge(0, 1), edge(1, 0)), Nil))
+    rejects("an edge joins an unknown region")(new RegionGraphIndex(regions, Seq(edge(0, 2)), Nil))
+    rejects("an edge joins an unknown region")(new RegionGraphIndex(regions, Seq(edge(-1, 1)), Nil))
+    rejects("inner paths of an unknown region")(new RegionGraphIndex(regions, Nil, Seq(Nil, Nil, Seq(PathRec(Seq(0, 1), 1)))))
   }
 
   test("the path store returns every stored path, its positions and slices, in at most 4 bytes per near vertex (scalacheck)") {
@@ -192,13 +193,12 @@ class RegionGraphSpec extends SparkSpec {
     val prop = Prop.forAllNoShrink(cases) { case (rowPaths, innerPaths) =>
       val infos = innerPaths.indices.map(id => RegionInfo(id, Array.empty, 0.0, 0.0, Nil, Array.empty))
       val rows = rowPaths.zipWithIndex.map { case (ps, e) => RegionEdgeData(0, e + 1, isT = true, ps, None) }
-      val inner = innerPaths.indices.map(id => id -> innerPaths(id)).toMap
-      val index = new RegionGraphIndex(infos, rows, inner)
+      val index = new RegionGraphIndex(infos, rows, innerPaths)
       // each stored path's number with the record it was built from
       val stored = rows.indices.flatMap(e => index.edgePaths(e).zip(rows(e).paths)) ++
         innerPaths.indices.flatMap(i => index.innerPathsOf(i).zip(innerPaths(i)))
       index.edgeRows.map(_.paths) == rows.map(_.paths) &&
-      index.innerPaths == inner.filter(_._2.nonEmpty) &&
+      index.innerPaths == innerPaths &&
       stored.map(_._1) == (0 until index.pathCount.length) &&
       stored.forall { case (p, rec) =>
         val ref = rec.verts.toArray
@@ -307,6 +307,6 @@ class RegionGraphSpec extends SparkSpec {
       e.paths.foreach(p => assert(p.count >= 1))
     }
     // every vertex-region assignment points to an existing region
-    index.vertexRegion.values.foreach(r => assert(index.regions.contains(r)))
+    index.vertexRegion.values.foreach(r => assert(index.regions.indices.contains(r)))
   }
 }

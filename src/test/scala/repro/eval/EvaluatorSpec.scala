@@ -11,7 +11,7 @@ class EvaluatorSpec extends SparkSpec {
   private val net = TestNets.line(10)
   private val index = {
     val regions = Seq(Clustering.Region(0, Set(0, 1, 2)), Clustering.Region(1, Set(7, 8, 9)))
-    new RegionGraphIndex(regions.map(repro.core.RegionGraph.regionInfo(net, _, Array.empty, 2)), Nil, Map.empty)
+    new RegionGraphIndex(regions.map(repro.core.RegionGraph.regionInfo(net, _, Array.empty, 2)), Nil, Nil)
   }
 
   test("categorize distinguishes the three categories") {

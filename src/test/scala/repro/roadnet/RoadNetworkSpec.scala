@@ -9,7 +9,6 @@ class RoadNetworkSpec extends SparkSpec {
 
   test("adjacency lists cover every edge exactly once") {
     assert(grid.adj.map(_.length).sum === grid.edges.length)
-    assert(grid.radj.map(_.length).sum === grid.edges.length)
   }
 
   test("edgeBetween finds forward edges") {
