@@ -1,9 +1,6 @@
 package repro.core
 
 import repro.roadnet.{CostType, Preference, RoadNetwork}
-import repro.util.CostHeap
-
-import scala.collection.immutable.ArraySeq
 
 /** The unified routing algorithm of Section VI, answering arbitrary (s, d)
   * requests on the region graph.
@@ -35,44 +32,16 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
     * centroid distance plus a per-hop constant, so direct edges always beat
     * multi-hop detours (triangle inequality) and fewer region edges are
     * preferred — the paper's routing intuition. None when `rs` or `rd` is no
-    * region or `rd` is unreachable. The search runs over the index's CSR
-    * adjacency on a [[CostHeap]], which pops equal costs in the order of the
-    * library priority queue the search once used, so every region path
-    * stays the same.
+    * region or `rd` is unreachable. It is one search of the kernel that runs
+    * every road search ([[repro.util.CsrGraph]]), over the index's CSR
+    * adjacency with the centroid distances as its cost column and
+    * [[HopPenaltyKm]] as its per-hop cost. Its heap pops equal costs in the
+    * order of the library priority queue the search once used, so every
+    * region path stays the same.
     */
-  def regionPath(rs: Int, rd: Int): Option[Seq[Int]] = {
-    if (!isRegion(rs) || !isRegion(rd)) return None
-    val adj = index.adjacency
-    val dist = Array.fill(index.nRegions)(Double.PositiveInfinity)
-    val parent = new Array[Int](index.nRegions)
-    val done = new Array[Boolean](index.nRegions)
-    val heap = new CostHeap(index.nRegions)
-    dist(rs) = 0.0
-    heap.push(0.0, rs)
-    while (heap.size > 0) {
-      val c = heap.minCost; val r = heap.minVertex
-      heap.pop()
-      if (!done(r)) {
-        done(r) = true
-        if (r == rd) {
-          var len = 1; var v = rd
-          while (v != rs) { v = parent(v); len += 1 }
-          val path = new Array[Int](len)
-          v = rd
-          for (i <- len - 1 to 0 by -1) { path(i) = v; v = parent(v) }
-          return Some(ArraySeq.unsafeWrapArray(path))
-        }
-        var p = adj.off(r)
-        while (p < adj.off(r + 1)) {
-          val nb = adj.nbr(p)
-          val nc = c + adj.dist(p) + HopPenaltyKm
-          if (nc < dist(nb)) { dist(nb) = nc; parent(nb) = r; heap.push(nc, nb) }
-          p += 1
-        }
-      }
-    }
-    None
-  }
+  def regionPath(rs: Int, rd: Int): Option[Seq[Int]] =
+    if (!isRegion(rs) || !isRegion(rd)) None
+    else index.graph.search(rs, Array(rd), index.adjacency.dist, -1, HopPenaltyKm)(0)
 
   /** The s … d slice of the most-traversed stored path, among the rows of
     * `ranges`, that passes s before d; on equal counts the first in range

@@ -27,12 +27,16 @@ import java.security.{DigestOutputStream, MessageDigest}
   */
 object L2RPipeline {
 
+  /** The fit's settings; every fit runs with the defaults. */
   final case class Params(
       amr: Double = 0.7,
       mu1: Double = 1.0,
       mu2: Double = 0.01,
       graph: RegionGraph.Params = RegionGraph.Params(),
       tcsPerSide: Int = 2)
+
+  /** The settings every fit runs with. */
+  private val FitParams = Params()
 
   final case class Model(
       index: RegionGraphIndex,
@@ -88,13 +92,12 @@ object L2RPipeline {
     val t0 = System.nanoTime(); val a = f; (a, (System.nanoTime() - t0) / 1000000)
   }
 
-  def fit(spark: SparkSession, net: RoadNetwork, trainTrips: Dataset[Trip],
-          params: Params = Params()): Model = {
+  def fit(spark: SparkSession, net: RoadNetwork, trainTrips: Dataset[Trip]): Model = {
     // Step 0+1: trajectory graph → regions → region graph
     val ((regions, index0), tGraph) = timed {
       val trips = trainTrips.collect().toSeq
       val regions = Clustering.cluster(TrajectoryGraph.clusterInput(trips, net))
-      (regions, RegionGraph.build(net, trips, regions, params.graph))
+      (regions, RegionGraph.build(net, trips, regions, FitParams.graph))
     }
 
     // Step 1 (Section V): learn preferences for T-edges
@@ -109,12 +112,12 @@ object L2RPipeline {
     // Step 2: transfer preferences to B-edges
     val (transferRes, tTransfer) = timed {
       val feats = PreferenceTransfer.features(index0, PreferenceLearning.byKey(learned))
-      PreferenceTransfer.transfer(spark, feats, params.amr, params.mu1, params.mu2)
+      PreferenceTransfer.transfer(spark, feats, FitParams.amr, FitParams.mu1, FitParams.mu2)
     }
 
     // Step 3: apply preferences — materialise B-edge paths
     val (index, tApply) = timed {
-      BEdgePaths.materialise(spark, net, index0, transferRes.prefs, params.tcsPerSide)
+      BEdgePaths.materialise(spark, net, index0, transferRes.prefs, FitParams.tcsPerSide)
     }
 
     Model(index, regions, learned, transferRes, (tGraph, tLearn, tTransfer, tApply))

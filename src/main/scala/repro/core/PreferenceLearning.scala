@@ -109,12 +109,6 @@ object PreferenceLearning {
       (Preference(master, None), masterScore / totalW)
   }
 
-  /** [[learn]] of one path set, on the calling thread. */
-  def learnOne(net: RoadNetwork, paths: Seq[(Seq[Int], Int)]): (Preference, Double) = {
-    val te = TEdgePaths(0, 0, paths.map(_._1), paths.map(_._2))
-    choose(te, pathScores(net, Seq(te), 1).head)
-  }
-
   /** Learning over all T-edges, in their order, on `spark`'s default
     * parallelism in driver threads.
     */

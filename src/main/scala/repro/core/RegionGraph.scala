@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.roadnet.{Preference, RoadNetwork}
 import repro.traj.Trip
+import repro.util.CsrGraph
 
 import scala.collection.immutable.{ArraySeq, VectorBuilder}
 import scala.collection.mutable
@@ -64,13 +65,14 @@ final case class RegionEdgeData(
   * Derived on first use and never serialised: the vertex → region array
   * (from the members), the region adjacency as CSR (each region's
   * neighbours in edge-row order, which fixes the region search's ties,
-  * with the edge row and the centroid distance), and the views: `regions`
-  * and `innerPaths` are `IndexedSeq`s by id, `vertexRegion` and `edges`
-  * maps. A map of at most four entries iterates in the order it was built,
-  * a larger one in hash order (the order of an immutable hash map depends on
-  * its keys alone); `edgeRows` reads the rows in row order. The router
-  * ([[L2RRouter]]) reads the arrays and the stored paths through
-  * [[indexIn]] and [[slice]].
+  * with the edge row and the centroid distance), the search kernel over it
+  * (`graph`, the [[repro.util.CsrGraph]] that also runs every road search),
+  * and the views: `regions` and `innerPaths` are `IndexedSeq`s by id,
+  * `vertexRegion` and `edges` maps. A map of at most four entries iterates
+  * in the order it was built, a larger one in hash order (the order of an
+  * immutable hash map depends on its keys alone); `edgeRows` reads the rows
+  * in row order. The router ([[L2RRouter]]) reads the arrays and the stored
+  * paths through [[indexIn]] and [[slice]].
   */
 @SerialVersionUID(3L)
 final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]])
@@ -145,6 +147,13 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
     new RegionGraphIndex.Adjacency(off, nbr, row, dist)
   }
 
+  /** The search kernel over the region adjacency, which serves the road
+    * network too; regions have no road type, so every search follows every
+    * region edge (slave road type -1).
+    */
+  @transient private[core] lazy val graph: CsrGraph =
+    new CsrGraph(adjacency.off, adjacency.nbr, new Array[Byte](adjacency.nbr.length))
+
   /** The stored paths of edge row `e`. */
   private[core] def edgePaths(e: Int): Range = groupOff(e) until groupOff(e + 1)
 
@@ -160,23 +169,11 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
   }
 
   /** Is the region graph connected? (guaranteed by B-edge construction when
-    * the road network is connected)
+    * the road network is connected) One reach pass of the search kernel
+    * from region 0 to every region.
     */
-  def isConnected: Boolean = {
-    if (nRegions == 0) return true
-    val adj = adjacency
-    val seen = new Array[Boolean](nRegions)
-    val queue = new Array[Int](nRegions)
-    seen(0) = true
-    var head = 0; var tail = 1
-    while (head < tail) {
-      val r = queue(head); head += 1
-      for (p <- adj.off(r) until adj.off(r + 1) if !seen(adj.nbr(p))) {
-        seen(adj.nbr(p)) = true; queue(tail) = adj.nbr(p); tail += 1
-      }
-    }
-    tail == nRegions
-  }
+  def isConnected: Boolean =
+    nRegions == 0 || graph.reach(0, Array.range(0, nRegions), -1).forall(identity)
 
   private def reader(p: Int) = new RegionGraphIndex.PathReader(pathBytes, pathOff(p), pathOff(p + 1))
 

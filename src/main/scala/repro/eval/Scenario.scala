@@ -48,7 +48,7 @@ object Scenario {
     Seq(0, 2, 5, 10, 35))
 
   /** Build a scenario end-to-end (generation → split → fit with
-    * `L2RPipeline.Params()` → routers).
+    * the fit's default `L2RPipeline.Params` → routers).
     */
   def build(spark: SparkSession, name: String,
             netCfg: RoadNetGen.Config, trajCfg: TrajectoryGen.Config,
@@ -78,11 +78,14 @@ object Scenario {
     val (n, t, b) = d2Config(scale); build(spark, "D2-lite", n, t, b)
   }
 
+  /** The network seed of [[tiny]]; its trips use the next one. */
+  private val TinySeed = 5L
+
   /** A small scenario for unit tests (fast, still end-to-end). */
-  def tiny(spark: SparkSession, seed: Long = 5L): Scenario = {
-    val netCfg = RoadNetGen.Config(cols = 28, rows = 20, spacingKm = 0.4, seed = seed)
+  def tiny(spark: SparkSession): Scenario = {
+    val netCfg = RoadNetGen.Config(cols = 28, rows = 20, spacingKm = 0.4, seed = TinySeed)
     val trajCfg = TrajectoryGen.Config(nTrips = 900, nDrivers = 20, nZones = 6,
-      zoneRadiusKm = 1.2, seed = seed + 1, longDistKm = 5.0)
+      zoneRadiusKm = 1.2, seed = TinySeed + 1, longDistKm = 5.0)
     build(spark, "tiny", netCfg, trajCfg, Seq(0, 2, 5, 10, 35))
   }
 }

@@ -1,6 +1,6 @@
 package repro.roadnet
 
-import repro.util.CostHeap
+import repro.util.CsrGraph
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
@@ -34,42 +34,28 @@ final class CostColumn private[roadnet] (owner: RoadNetwork, private[roadnet] va
 }
 
 /** In-memory road network 𝒢 = (𝕍, 𝔼, 𝕎) with adjacency indexes and the
-  * search kernels every stage of the pipeline relies on: plain Dijkstra and
-  * the paper's preference-aware Dijkstra (Algorithm 2), to one target or to
-  * many, all run by one search loop.
+  * searches every stage of the pipeline relies on: plain Dijkstra and the
+  * paper's preference-aware Dijkstra (Algorithm 2), to one target or to
+  * many. All of them run on [[repro.util.CsrGraph]], the one search kernel
+  * that also serves the router's region search; this class selects the cost
+  * column and passes a per-hop cost of 0, which leaves every path cost as
+  * the sum of its edge costs.
   *
-  * A search from one source to many targets stops once every target is
-  * settled. Costs are non-negative and relaxation is strict, so a settled
-  * vertex's parent never changes (the shortest-path-tree property of
-  * Dijkstra 1959): each target's path is the one a single-target search
-  * returns, whose loop settles the same vertices in the same order up to
-  * that target.
-  *
-  * The search loop runs on primitive arrays only:
-  *  - the graph as CSR columns (`off`, `dst`, `rt` and one cost column per
-  *    [[CostType]]) in `adj` order, so every vertex relaxes its out-edges in
-  *    the order of `adj`; a [[CostColumn]] built by [[column]] is read as
-  *    it is, and any other [[EdgeCost]] is evaluated into a column once per
-  *    search;
-  *  - a [[CostHeap]] of (cost, vertex) with lazy deletion, tie-exact with
-  *    `mutable.PriorityQueue` under reversed cost order, so every path, trip
-  *    and learned preference stays as it was;
-  *  - a per-thread workspace (distances, parents, epoch stamps for seen
-  *    and settled vertices and for targets, the heap) that a new epoch
-  *    resets in O(1).
-  * A search rejects a cost column with a negative or NaN entry, which could
-  * otherwise re-parent a settled vertex and send path reconstruction round
-  * a cycle.
+  * The kernel reads the graph as CSR columns (`off`, `dst`, `rt`) in `adj`
+  * order, so every vertex relaxes its out-edges in the order of `adj`, and
+  * one cost column per [[CostType]]. A [[CostColumn]] built by [[column]] is
+  * read as it is, and any other [[EdgeCost]] is evaluated into a per-thread
+  * column once per search. A search rejects a cost column with a negative or
+  * NaN entry, which could otherwise re-parent a settled vertex and send
+  * path reconstruction round a cycle.
   *
   * Trip generation broadcasts the network to executors, hence
   * [[Serializable]]; every other stage shares one network across the
-  * threads of a [[repro.util.DriverPool]]. The CSR columns and workspaces
+  * threads of a [[repro.util.DriverPool]]. The CSR columns and the kernel
   * are transient and rebuilt on first use. Vertex ids must be 0..n-1 and edge
   * endpoints vertex ids; the constructor checks both.
   */
 final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) extends Serializable {
-  import RoadNetwork._
-
   val n: Int = vertices.length
 
   require(vertices.indices.forall(i => vertices(i).id == i), "vertex ids must be 0..n-1 in array order")
@@ -129,19 +115,20 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
   // ---------------------------------------------------------------- searches
 
   /** CSR form of `adj`: the out-edges of u are positions off(u) until
-    * off(u + 1), holding the edge's index, target and road type.
+    * off(u + 1), holding the edge's index, and in the kernel its target and
+    * road type.
     */
   @transient private lazy val off: Array[Int] = adj.scanLeft(0)(_ + _.length)
   @transient private lazy val eid: Array[Int] = adj.flatten
-  @transient private lazy val dst: Array[Int] = eid.map(edges(_).dst)
-  @transient private lazy val rt: Array[Byte] = eid.map(edges(_).rt.toByte)
+  @transient private lazy val graph: CsrGraph = new CsrGraph(off, eid.map(edges(_).dst), eid.map(edges(_).rt.toByte))
 
   /** The CSR cost column of each [[CostType]], by id. */
   @transient private lazy val featureCost: Array[Array[Double]] =
     CostType.all.map(c => fillColumn(c, new Array[Double](edges.length))).toArray
 
-  @transient private lazy val workspace: ThreadLocal[Workspace] =
-    ThreadLocal.withInitial(() => new Workspace(n, edges.length))
+  /** Per thread, the column of a cost with no column of its own. */
+  @transient private lazy val scratch: ThreadLocal[Array[Double]] =
+    ThreadLocal.withInitial(() => new Array[Double](edges.length))
 
   /** `cost` evaluated once into a cost column of this network, for a cost
     * that many searches share; rejects negative and NaN costs now.
@@ -167,17 +154,6 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
       p += 1
     }
     col
-  }
-
-  private def reconstruct(parent: Array[Int], src: Int, dst: Int): Vector[Int] = {
-    var len = 1
-    var v = dst
-    while (v != src) { v = parent(v); len += 1 }
-    val path = new Array[Int](len)
-    v = dst
-    var i = len - 1
-    while (i >= 0) { path(i) = v; v = parent(v); i -= 1 }
-    path.toVector
   }
 
   /** Single-source single-target Dijkstra under an arbitrary edge cost.
@@ -280,127 +256,21 @@ final class RoadNetwork(val vertices: Array[Vertex], val edges: Array[Edge]) ext
     found
   }
 
-  /** The reach pass: which of `targets` a search from `src` under Algorithm
-    * 2's slave rule for `slaveRt` can reach, by a breadth-first pass that
-    * follows the edges the rule does (where any out-edge of a vertex has the
-    * slave road type, only those). The edges the rule follows depend on the
-    * vertex alone, not on the cost, so a restricted search under any master
-    * settles no target that this pass misses. It may settle fewer: a search
-    * never takes an edge that makes a path cost +inf, and the target behind
-    * it is left to the fallback, as it is without the pass. Stops once every
-    * target is found. It runs on the search workspace: an epoch of its own, `seen`
-    * for visited vertices, the negated-epoch `settled` stamps for targets
-    * and `parent` as its queue.
+  /** The kernel's reach pass ([[CsrGraph.reach]]) under Algorithm 2's
+    * slave rule for `slaveRt`.
     */
-  private[roadnet] def slaveReach(src: Int, targets: Array[Int], slaveRt: Int): Array[Boolean] = {
-    val w = workspace.get
-    val off = this.off; val dst = this.dst; val rt = this.rt
-    val epoch = w.start()
-    val seen = w.seen; val settled = w.settled; val queue = w.parent
-    var remaining = 0
-    targets.foreach { t => if (settled(t) != -epoch) { settled(t) = -epoch; remaining += 1 } }
-    seen(src) = epoch; queue(0) = src
-    if (settled(src) == -epoch) remaining -= 1
-    var head = 0; var tail = 1
-    while (head < tail && remaining > 0) {
-      val u = queue(head); head += 1
-      val lo = off(u); val hi = off(u + 1)
-      var anySat = false
-      var p = lo
-      while (p < hi && !anySat) { if (rt(p) == slaveRt) anySat = true; p += 1 }
-      p = lo
-      while (p < hi) {
-        val v = dst(p)
-        if ((!anySat || rt(p) == slaveRt) && seen(v) != epoch) {
-          seen(v) = epoch; queue(tail) = v; tail += 1
-          if (settled(v) == -epoch) remaining -= 1
-        }
-        p += 1
-      }
-    }
-    targets.map(seen(_) == epoch)
-  }
+  private[roadnet] def slaveReach(src: Int, targets: Array[Int], slaveRt: Int): Array[Boolean] =
+    graph.reach(src, targets, slaveRt)
 
-  /** The one search loop: Dijkstra from `src` until every vertex of
-    * `targets` is settled, restricted by Algorithm 2's slave rule unless
-    * `slaveRt` is -1. Returns each target's path, or None where it was not
-    * reached. Costs are non-negative and relaxation is strict, so a
-    * vertex's parent is settled before it and never changes after, and the
-    * returned paths are simple.
+  /** The kernel's search ([[CsrGraph.search]]) under `cost`'s column, with
+    * no per-hop cost: each target's path, or None where it was not reached.
     */
   private def search(src: Int, targets: Array[Int], cost: EdgeCost, slaveRt: Int): Array[Option[Vector[Int]]] = {
-    val w = workspace.get
     val col = cost match {
       case c: CostType                     => featureCost(c.id)
       case c: CostColumn if c.ownedBy(this) => c.values
-      case _                               => fillColumn(cost, w.column)
+      case _                               => fillColumn(cost, scratch.get)
     }
-    val off = this.off; val dst = this.dst; val rt = this.rt
-    val epoch = w.start()
-    val dist = w.dist; val parent = w.parent; val seen = w.seen; val settled = w.settled
-    var remaining = 0
-    targets.foreach { t => if (settled(t) != -epoch) { settled(t) = -epoch; remaining += 1 } }
-    seen(src) = epoch; dist(src) = 0.0
-    w.push(0.0, src)
-    while (w.size > 0 && remaining > 0) {
-      val c = w.minCost; val u = w.minVertex
-      w.pop()
-      val stamp = settled(u)
-      if (stamp != epoch) {
-        settled(u) = epoch
-        if (stamp == -epoch) remaining -= 1
-        if (remaining > 0) {
-          val lo = off(u); val hi = off(u + 1)
-          var anySat = false
-          var p = lo
-          while (slaveRt >= 0 && p < hi && !anySat) { if (rt(p) == slaveRt) anySat = true; p += 1 }
-          p = lo
-          while (p < hi) {
-            if (!anySat || rt(p) == slaveRt) {
-              val v = dst(p)
-              val nc = c + col(p)
-              if (nc < (if (seen(v) == epoch) dist(v) else Double.PositiveInfinity)) {
-                seen(v) = epoch; dist(v) = nc; parent(v) = u; w.push(nc, v)
-              }
-            }
-            p += 1
-          }
-        }
-      }
-    }
-    targets.map(t => if (settled(t) == epoch) Some(reconstruct(parent, src, t)) else None)
-  }
-}
-
-object RoadNetwork {
-
-  /** One thread's search state: the heap, and per vertex its distance,
-    * parent and stamps. `dist` and `parent` of a vertex are valid in the
-    * current search iff its `seen` stamp is the current epoch, and it is
-    * settled iff its `settled` stamp is; a target not yet settled has the
-    * negated epoch as its `settled` stamp. A new epoch so resets all of them
-    * in O(1). The reach pass takes an epoch too, and uses `parent` as its
-    * queue.
-    */
-  private final class Workspace(n: Int, m: Int) extends CostHeap(n) {
-    val dist = new Array[Double](n)
-    val parent = new Array[Int](n)
-    val seen = new Array[Int](n)
-    val settled = new Array[Int](n)
-    /** The per-search column of a cost with no column of its own. */
-    lazy val column = new Array[Double](m)
-    private var epoch = 0
-
-    /** Starts a search with an empty heap and returns its epoch; clears
-      * every stamp before the epoch counter would wrap.
-      */
-    def start(): Int = {
-      if (epoch == Int.MaxValue) {
-        java.util.Arrays.fill(seen, 0); java.util.Arrays.fill(settled, 0); epoch = 0
-      }
-      epoch += 1
-      clear()
-      epoch
-    }
+    graph.search(src, targets, col, slaveRt, 0.0)
   }
 }

@@ -1,8 +1,9 @@
 package repro.util
 
 /** A 1-indexed binary heap of (cost, vertex) in parallel primitive arrays,
-  * cheapest first, shared by the road-network search loop and the
-  * region-graph search.
+  * cheapest first: the heap of the one search kernel, [[CsrGraph]], whose
+  * per-thread workspace extends it, so all road searches and the region
+  * search pop from it and nothing else uses it.
   *
   * Push and pop make the same comparisons as `mutable.PriorityQueue` under
   * reversed cost order, so equal-cost entries pop in the same order as from

@@ -1,5 +1,6 @@
 package repro
 
+import repro.core.RegionGraphIndex
 import repro.roadnet._
 
 import scala.collection.mutable
@@ -156,5 +157,45 @@ object TestNets {
     val edges = for (u <- 0 until n; v <- 0 until n if u != v && rnd.nextDouble() < density)
       yield Edge(u, v, rnd.nextInt(4), rnd.nextInt(4), rnd.nextInt(4), 1 + rnd.nextInt(3))
     new RoadNetwork(vertices, edges.toArray)
+  }
+
+  /** The region search before the index moved to arrays: Dijkstra over the
+    * map views with the library priority queue.
+    */
+  def refRegionPath(index: RegionGraphIndex, rs: Int, rd: Int): Option[Seq[Int]] = {
+    if (rs == rd) return Some(Seq(rs))
+    val neighbors = mutable.Map.empty[Int, mutable.ArrayBuffer[Int]]
+    index.edges.keys.foreach { case (a, b) =>
+      neighbors.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += b
+      neighbors.getOrElseUpdate(b, mutable.ArrayBuffer.empty) += a
+    }
+    def centroidDist(a: Int, b: Int): Double = {
+      val ra = index.regions(a); val rb = index.regions(b)
+      math.hypot(ra.cx - rb.cx, ra.cy - rb.cy)
+    }
+    val dist = mutable.HashMap(rs -> 0.0)
+    val parent = mutable.HashMap.empty[Int, Int]
+    val done = mutable.Set.empty[Int]
+    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
+    pq.enqueue((0.0, rs))
+    while (pq.nonEmpty) {
+      val (c, r) = pq.dequeue()
+      if (!done.contains(r)) {
+        done += r
+        if (r == rd) {
+          val b = mutable.ArrayBuffer(rd)
+          var cur = rd
+          while (cur != rs) { cur = parent(cur); b += cur }
+          return Some(b.reverse.toSeq)
+        }
+        neighbors.getOrElse(r, Nil).foreach { nb =>
+          val nc = c + centroidDist(r, nb) + 1.0
+          if (nc < dist.getOrElse(nb, Double.PositiveInfinity)) {
+            dist(nb) = nc; parent(nb) = r; pq.enqueue((nc, nb))
+          }
+        }
+      }
+    }
+    None
   }
 }

@@ -8,11 +8,19 @@ class PreferenceLearningSpec extends SparkSpec {
 
   private val grid = TestNets.smallGrid(16, 12)
 
+  /** [[PreferenceLearning.learn]] of one weighted path set: its preference
+    * and average similarity.
+    */
+  private def learnOne(net: RoadNetwork, paths: Seq[(Seq[Int], Int)]): (Preference, Double) = {
+    val lp = PreferenceLearning.learn(spark, net, Seq(PreferenceLearning.TEdgePaths(0, 0, paths.map(_._1), paths.map(_._2)))).head
+    (lp.pref, lp.avgSim)
+  }
+
   /** Plant a preference, route trips with it, and check recovery. */
   private def plantAndLearn(pref: Preference, pairs: Seq[(Int, Int)]): (Preference, Double) = {
     val paths = pairs.flatMap { case (s, d) => grid.prefDijkstra(s, d, pref) }
       .filter(_.length >= 2).map(p => (p: Seq[Int], 1))
-    PreferenceLearning.learnOne(grid, paths)
+    learnOne(grid, paths)
   }
 
   private val rnd = new scala.util.Random(19)
@@ -52,7 +60,7 @@ class PreferenceLearningSpec extends SparkSpec {
   }
 
   test("empty path set yields the default preference") {
-    val (p, sim) = PreferenceLearning.learnOne(grid, Nil)
+    val (p, sim) = learnOne(grid, Nil)
     assert(p === Preference(CostType.TT, None))
     assert(sim === 0.0)
   }
@@ -63,7 +71,7 @@ class PreferenceLearningSpec extends SparkSpec {
     val di = grid.dijkstra(s, d, _.dist).get
     val tt = grid.dijkstra(s, d, _.tt).get
     assume(di != tt)
-    val (p, _) = PreferenceLearning.learnOne(grid, Seq((di: Seq[Int]) -> 10, (tt: Seq[Int]) -> 1))
+    val (p, _) = learnOne(grid, Seq((di: Seq[Int]) -> 10, (tt: Seq[Int]) -> 1))
     assert(p.master === CostType.DI)
   }
 
@@ -74,7 +82,7 @@ class PreferenceLearningSpec extends SparkSpec {
     }
     val learned = PreferenceLearning.learn(spark, grid, tedges).sortBy(_.ri)
     learned.zip(tedges).foreach { case (lp, te) =>
-      val (expect, sim) = PreferenceLearning.learnOne(grid, te.paths.zip(te.counts))
+      val (expect, sim) = learnOne(grid, te.paths.zip(te.counts))
       assert(lp.pref === expect)
       assert(lp.avgSim === sim)
     }
@@ -82,7 +90,7 @@ class PreferenceLearningSpec extends SparkSpec {
 
   test("avgSim is in [0,1]") {
     val ps = pairs.take(4).map { case (s, d) => (grid.dijkstra(s, d, _.fc).get: Seq[Int]) -> 2 }
-    val (_, sim) = PreferenceLearning.learnOne(grid, ps)
+    val (_, sim) = learnOne(grid, ps)
     assert(sim >= 0.0 && sim <= 1.0 + 1e-9)
   }
 

@@ -11,8 +11,9 @@ import java.security.{DigestOutputStream, MessageDigest}
 /** Identity pins for the training sets of l2rbench's two workloads:
   * `Scenario.build` on D2-lite at scale 0.07 and on D1-lite at 0.1. Each fit
   * keeps its `Model.digest`, the exact preferences it learned and the bytes
-  * of its serialised index, and L2R and Fastest keep their routes of the
-  * scenario's test trips. A change that moves any of them fails here; a
+  * of its serialised index, L2R and Fastest keep their routes of the
+  * scenario's test trips, and the router keeps its region path of every
+  * ordered region pair. A change that moves any of them fails here; a
   * deliberate re-baseline updates the pins and says why.
   */
 class WorkloadPinsSpec extends SparkSpec {
@@ -44,6 +45,18 @@ class WorkloadPinsSpec extends SparkSpec {
     sc.test.foreach { t =>
       val p = router.route(t.driver, t.path.head, t.path.last)
       out.writeInt(p.length); p.foreach(out.writeInt)
+    }
+  }
+
+  /** Over `regionPath(a, b)` of every ordered region pair, in (a, b) order:
+    * the path's length (-1 for None), then its region ids.
+    */
+  private def regionPathsSha(sc: Scenario): String = sha { out =>
+    val router = sc.model.router(sc.net)
+    val ids = 0 until sc.model.index.nRegions
+    for (a <- ids; b <- ids) router.regionPath(a, b) match {
+      case Some(rp) => out.writeInt(rp.length); rp.foreach(out.writeInt)
+      case None     => out.writeInt(-1)
     }
   }
 
@@ -79,5 +92,15 @@ class WorkloadPinsSpec extends SparkSpec {
     assert(routesSha(d1, "L2R") === "e315c62b881f2b11fa4c250a2c4e7472d0075bba70aaa3d548e231b7ea7f5dcd")
     assert(routesSha(d1, "Fastest") === "34c1b0b38a5277d771820556111ebb171551ba046658f437ed233f24f8ba660b")
     assert(indexPin(d1.model.index) === ((613554, "f59fbaaca0a26bf2f198f1c0c77052fe4a545238e31d5fcb49f01eff896b311a")))
+  }
+
+  test("D2-lite at scale 0.07 keeps its region path of every region pair and a connected region graph") {
+    assert(regionPathsSha(d2) === "47f7c8f81f58c90f3bf77e17599ec8d8875a06e889ecef3c378c3325b95aaec0")
+    assert(d2.model.index.isConnected)
+  }
+
+  test("D1-lite at scale 0.1 keeps its region path of every region pair and a connected region graph") {
+    assert(regionPathsSha(d1) === "d883ece7e2ba8189d6e315545e65c2249ab20db770529209e775df54386918d8")
+    assert(d1.model.index.isConnected)
   }
 }
