@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.eval.Scenario
 
 /** Shared, lazily-built bench scenarios (one per data set). Building a
@@ -11,7 +10,7 @@ object BenchScenarios {
   /** 0 < scale ≤ 1 shrinks trip counts for smoke runs. */
   val scale: Double = sys.env.get("BENCH_SCALE").map(_.toDouble).getOrElse(1.0)
 
-  lazy val d1: Scenario = Scenario.d1(SparkSpec.shared, scale)
-  lazy val d2: Scenario = Scenario.d2(SparkSpec.shared, scale)
+  lazy val d1: Scenario = Scenario.d1(scale)
+  lazy val d2: Scenario = Scenario.d2(scale)
   def all: Seq[Scenario] = Seq(d1, d2)
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.eval.Tables
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Figure 13 — L2R vs (simulated) Google Directions.
   *
@@ -9,10 +9,10 @@ import repro.eval.Tables
   * distance, shows no pattern across region categories, and L2R is higher
   * in all settings.
   */
-class GoogleBench extends SparkSpec {
+class GoogleBench extends AnyFunSuite {
 
   private def run(s: repro.eval.Scenario): Unit = {
-    val (byDist, byCat, txt) = Tables.accuracyTables(spark, s, Seq("L2R", "Google"))
+    val (byDist, byCat, txt) = Tables.accuracyTables(s, Seq("L2R", "Google"))
     println(s"=== ${s.name} ===\n" + txt)
     val overall = Tables.overall(byDist, _.sim1)
     assert(overall("L2R") > overall("Google"),

@@ -1,7 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.eval.Tables
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Figures 10–12 + the offline-time paragraph of Section VII-C:
   * accuracy (both similarity functions, by distance and by category) and
@@ -16,13 +16,13 @@ import repro.eval.Tables
   *  - L2R's InRegion accuracy beats OutRegion (where it degenerates to
   *    the fastest path).
   */
-class RoutingAccuracyBench extends SparkSpec {
+class RoutingAccuracyBench extends AnyFunSuite {
 
   private val algos = Seq("L2R", "Shortest", "Fastest", "Dom", "TRIP")
 
   /** Prints and checks the tables of `s`; returns its rows by distance. */
   private def run(s: repro.eval.Scenario): Seq[Tables.AccRow] = {
-    val (byDist, byCat, txt) = Tables.accuracyTables(spark, s, algos)
+    val (byDist, byCat, txt) = Tables.accuracyTables(s, algos)
     println(s"=== ${s.name}: ${s.test.size} test queries ===\n" + txt)
     val overall = Tables.overall(byDist, _.sim1)
     val latency = Tables.overall(byDist, _.micros)

@@ -1,14 +1,14 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.eval.Tables
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Table II — statistics (distance distribution) of the trajectory sets.
   *
   * Paper (D1, Denmark): (0,10] 91.6%, (10,50] 7.6%, (50,100] 0.5%, (100,500] 0.3%
   * Paper (D2, Chengdu): (0,2] 15.8%, (2,5] 56.9%, (5,10] 23.5%, (10,35] 3.8%
   */
-class TableIIBench extends SparkSpec {
+class TableIIBench extends AnyFunSuite {
 
   test("Table II: D1-lite distance distribution is short-trip dominated") {
     val s = BenchScenarios.d1

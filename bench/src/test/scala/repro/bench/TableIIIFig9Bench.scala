@@ -1,8 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.core.{PreferenceLearning, PreferenceTransfer}
 import repro.eval.Tables
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Table III (the swept parameters) + Figure 9 (transfer accuracy).
   *
@@ -11,7 +11,7 @@ import repro.eval.Tables
   * 0.5; null-rate grows and runtime falls as amr grows; amr = 0.7 is the
   * chosen trade-off.
   */
-class TableIIIFig9Bench extends SparkSpec {
+class TableIIIFig9Bench extends AnyFunSuite {
 
   private def tFeats(s: repro.eval.Scenario) = {
     // deterministic subsample keeps the O(n²) similarity sweep bounded
@@ -23,7 +23,7 @@ class TableIIIFig9Bench extends SparkSpec {
     println("Table III — parameters of L2R: #T-edges ∈ {1X..5X (default 5X)}, amr ∈ {0.5..0.9 (default 0.7)}")
     val feats = tFeats(s)
     assert(feats.size >= 20, s"need enough T-edges for the study, got ${feats.size}")
-    val (parts, amrSweep, txt) = Tables.fig9(spark, feats, 0.7, Seq(0.5, 0.6, 0.7, 0.8, 0.9))
+    val (parts, amrSweep, txt) = Tables.fig9(feats, 0.7, Seq(0.5, 0.6, 0.7, 0.8, 0.9))
     println(s"=== ${s.name} (${feats.size} T-edges) ===\n" + txt)
 
     // Fig 9(a) shape: more training partitions do not hurt
@@ -42,7 +42,7 @@ class TableIIIFig9Bench extends SparkSpec {
     val s = BenchScenarios.d1
     val feats = tFeats(s)
     assert(feats.size >= 20)
-    val (parts, amrSweep, txt) = Tables.fig9(spark, feats, 0.7, Seq(0.5, 0.7, 0.9))
+    val (parts, amrSweep, txt) = Tables.fig9(feats, 0.7, Seq(0.5, 0.7, 0.9))
     println(s"=== ${s.name} (${feats.size} T-edges) ===\n" + txt)
     assert(parts.map(_._2.accuracy).forall(a => a >= 0.0 && a <= 1.0))
     assert(amrSweep.head._2.nnz >= amrSweep.last._2.nnz)

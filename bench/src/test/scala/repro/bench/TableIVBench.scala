@@ -1,7 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.eval.Tables
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Table IV — region sizes (convex-hull area km², max diameter km).
   *
@@ -11,7 +11,7 @@ import repro.eval.Tables
   * The headline: most regions are small (<2 km²); a few large ones exist
   * and are harmless because inner-region paths are kept.
   */
-class TableIVBench extends SparkSpec {
+class TableIVBench extends AnyFunSuite {
 
   test("Table IV: D1-lite regions are mostly small with a thin large tail") {
     val s = BenchScenarios.d1

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.core.PreferenceLearning
 import repro.eval.{PathSim, Scenario}
 import repro.roadnet.{Preference, RoadNetGen}
@@ -11,11 +10,10 @@ import repro.traj.TrajectoryGen
   */
 object Diag {
 
-  def analyse(spark: SparkSession, name: String,
-              mk: Double => (RoadNetGen.Config, TrajectoryGen.Config, Seq[Double]),
+  def analyse(name: String, mk: Double => (RoadNetGen.Config, TrajectoryGen.Config, Seq[Double]),
               scale: Double): Unit = {
     val (netCfg, trajCfg, _) = mk(scale)
-    val sc = Scenario.build(spark, name, netCfg, trajCfg, Seq(0, 2, 5, 10, 35))
+    val sc = Scenario.build(name, netCfg, trajCfg, Seq(0, 2, 5, 10, 35))
     val net = sc.net
     val (_, specs) = TrajectoryGen.specs(net, trajCfg)
     val specOf = specs.map(s => s.id -> s).toMap
@@ -109,9 +107,7 @@ object Diag {
   }
 
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("diag")
-    analyse(spark, "D2-diag", Scenario.d2Config, 0.25)
-    analyse(spark, "D1-diag", Scenario.d1Config, 0.25)
-    spark.stop()
+    analyse("D2-diag", Scenario.d2Config, 0.25)
+    analyse("D1-diag", Scenario.d1Config, 0.25)
   }
 }

@@ -33,13 +33,19 @@ object BEdgePaths {
     cands.sortBy(v => (d(v), v)).take(k)
   }
 
+  /** [[materialise]]; kept for l2rbench until the benchmark PR; `spark` is unused. */
+  def materialise(spark: SparkSession, net: RoadNetwork, index: RegionGraphIndex,
+                  prefs: Map[(Int, Int), Option[Preference]], tcsPerSide: Int): RegionGraphIndex =
+    materialise(net, index, prefs, tcsPerSide)
+
   /** Materialise paths for all B-edges of the index, returning a new index
     * whose B-edges carry paths (count 0 ⇒ synthetic, not trajectory-backed)
     * and preferences, with the edge rows in the same order. A B-edge's paths
     * are those between its transfer-center pairs (s, d), s ≠ d, source-major,
-    * without repeats, with `tcsPerSide` centers picked on each side.
+    * without repeats, with `tcsPerSide` centers picked on each side. The
+    * searches run on the [[DriverPool]].
     */
-  def materialise(spark: SparkSession, net: RoadNetwork, index: RegionGraphIndex,
+  def materialise(net: RoadNetwork, index: RegionGraphIndex,
                   prefs: Map[(Int, Int), Option[Preference]],
                   tcsPerSide: Int): RegionGraphIndex = {
     val rows = index.edgeRows
@@ -54,7 +60,7 @@ object BEdgePaths {
     for ((_, pref, pairs) <- plans; (s, d) <- pairs)
       targets.getOrElseUpdate((s, pref), mutable.LinkedHashSet.empty) += d
     val searches = targets.toIndexedSeq.map { case (sp, ds) => sp -> ds.toIndexedSeq }
-    val paths = DriverPool.map(searches, spark.sparkContext.defaultParallelism) { case ((s, pref), ds) =>
+    val paths = DriverPool.map(searches, DriverPool.Threads) { case ((s, pref), ds) =>
       net.prefDijkstraMany(s, ds, Seq(pref)).head
     }
     val found = searches.zip(paths).flatMap { case (((s, pref), ds), ps) =>

@@ -19,11 +19,10 @@ import java.security.{DigestOutputStream, MessageDigest}
   * Stage wall-clock times are recorded for the offline-processing-time
   * comparison in Section VII-C.
   *
-  * The training trips are collected to the driver once, and every stage runs
-  * there: the trajectory graph and the region graph are single passes over
-  * a few hundred trips, and learning and B-edge paths run on a pool of driver
-  * threads. `spark` only gives that pool its size. `fit` leaves the storage
-  * level of `trainTrips` as its caller set it.
+  * Every stage runs on the driver: the trajectory graph and the region
+  * graph are single passes over a few hundred trips, and learning, the CG
+  * columns and B-edge paths run on the [[repro.util.DriverPool]], which
+  * sizes itself. No stage starts a Spark job.
   */
 object L2RPipeline {
 
@@ -92,10 +91,19 @@ object L2RPipeline {
     val t0 = System.nanoTime(); val a = f; (a, (System.nanoTime() - t0) / 1000000)
   }
 
-  def fit(spark: SparkSession, net: RoadNetwork, trainTrips: Dataset[Trip]): Model = {
+  /** [[fit]] of the collected trips; kept for l2rbench until the benchmark
+    * PR; `spark` is unused. It leaves the storage level of `trainTrips` as
+    * its caller set it.
+    */
+  def fit(spark: SparkSession, net: RoadNetwork, trainTrips: Dataset[Trip]): Model =
+    fit(net, trainTrips.collect().toSeq)
+
+  /** Fit the routing infrastructure on the training trips, recording each
+    * stage's wall-clock time in `Model.stageMillis`.
+    */
+  def fit(net: RoadNetwork, trips: Seq[Trip]): Model = {
     // Step 0+1: trajectory graph → regions → region graph
     val ((regions, index0), tGraph) = timed {
-      val trips = trainTrips.collect().toSeq
       val regions = Clustering.cluster(TrajectoryGraph.clusterInput(trips, net))
       (regions, RegionGraph.build(net, trips, regions, FitParams.graph))
     }
@@ -106,18 +114,18 @@ object L2RPipeline {
         PreferenceLearning.TEdgePaths(e.ri, e.rj,
           e.paths.map(_.verts), e.paths.map(_.count))
       }.toSeq
-      PreferenceLearning.learn(spark, net, tedges)
+      PreferenceLearning.learn(net, tedges)
     }
 
     // Step 2: transfer preferences to B-edges
     val (transferRes, tTransfer) = timed {
       val feats = PreferenceTransfer.features(index0, PreferenceLearning.byKey(learned))
-      PreferenceTransfer.transfer(spark, feats, FitParams.amr, FitParams.mu1, FitParams.mu2)
+      PreferenceTransfer.transfer(feats, FitParams.amr, FitParams.mu1, FitParams.mu2)
     }
 
     // Step 3: apply preferences — materialise B-edge paths
     val (index, tApply) = timed {
-      BEdgePaths.materialise(spark, net, index0, transferRes.prefs, FitParams.tcsPerSide)
+      BEdgePaths.materialise(net, index0, transferRes.prefs, FitParams.tcsPerSide)
     }
 
     Model(index, regions, learned, transferRes, (tGraph, tLearn, tTransfer, tApply))

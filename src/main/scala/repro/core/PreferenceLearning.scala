@@ -52,17 +52,17 @@ object PreferenceLearning {
     * `scores(i)(k)(c)` is path k of T-edge i's count times its Eq. 1
     * similarity to the Algorithm 2 path between its endpoints under
     * `Preference.all(c)`, 0 when there is none; null for paths shorter than
-    * two vertices. One work item per head vertex, on `threads` driver
-    * threads, runs the many-target searches of every preference.
+    * two vertices. One work item per head vertex, on the [[DriverPool]],
+    * runs the many-target searches of every preference.
     */
-  private def pathScores(net: RoadNetwork, tedges: Seq[TEdgePaths], threads: Int): Array[Array[IndexedSeq[Double]]] = {
+  private def pathScores(net: RoadNetwork, tedges: Seq[TEdgePaths]): Array[Array[IndexedSeq[Double]]] = {
     val paths = tedges.map(_.paths.toIndexedSeq).toIndexedSeq
     val counts = tedges.map(_.counts.toIndexedSeq).toIndexedSeq
     val byHead = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[(Int, Int)]]
     for (i <- paths.indices; k <- paths(i).indices if paths(i)(k).length >= 2)
       byHead.getOrElseUpdate(paths(i)(k).head, mutable.ArrayBuffer.empty) += ((i, k))
     val items = byHead.toIndexedSeq
-    val scored = DriverPool.map(items, threads) { case (head, ps) =>
+    val scored = DriverPool.map(items, DriverPool.Threads) { case (head, ps) =>
       val found = net.prefDijkstraMany(head, ps.map { case (i, k) => paths(i)(k).last }.toIndexedSeq, Preference.all)
       ps.indices.map { j =>
         val (i, k) = ps(j)
@@ -109,11 +109,12 @@ object PreferenceLearning {
       (Preference(master, None), masterScore / totalW)
   }
 
-  /** Learning over all T-edges, in their order, on `spark`'s default
-    * parallelism in driver threads.
-    */
-  def learn(spark: SparkSession, net: RoadNetwork, tedges: Seq[TEdgePaths]): Seq[LearnedPref] = {
-    val scores = pathScores(net, tedges, spark.sparkContext.defaultParallelism)
+  /** [[learn]]; kept for l2rbench until the benchmark PR; `spark` is unused. */
+  def learn(spark: SparkSession, net: RoadNetwork, tedges: Seq[TEdgePaths]): Seq[LearnedPref] = learn(net, tedges)
+
+  /** Learning over all T-edges, in their order, on the [[DriverPool]]. */
+  def learn(net: RoadNetwork, tedges: Seq[TEdgePaths]): Seq[LearnedPref] = {
+    val scores = pathScores(net, tedges)
     tedges.zip(scores).map { case (te, sc) =>
       val (pref, sim) = choose(te, sc)
       LearnedPref(te.ri, te.rj, pref, sim)

@@ -92,11 +92,14 @@ object PreferenceTransfer {
       /** the edge pairs the band-pruned join scored (reSim computed), of n(n − 1)/2 */
       pairsScanned: Long)
 
+  /** [[adjacency]]; kept for l2rbench until the benchmark PR; `spark` is unused. */
+  def adjacency(spark: SparkSession, feats: IndexedSeq[REdgeFeat], amr: Double): Seq[(Int, Int, Double)] =
+    adjacency(feats, amr)
+
   /** Pairwise similarities ≥ amr over all region edges, as (i, j, s) with
-    * i < j, sorted by (i, j). The join runs on the driver; `spark` is unused
-    * and kept for callers.
+    * i < j, sorted by (i, j), from the driver-side join of [[transfer]].
     */
-  def adjacency(spark: SparkSession, feats: IndexedSeq[REdgeFeat], amr: Double): Seq[(Int, Int, Double)] = {
+  def adjacency(feats: IndexedSeq[REdgeFeat], amr: Double): Seq[(Int, Int, Double)] = {
     val (m, _) = similarityGraph(feats, amr)
     for (i <- feats.indices; k <- (m.rowPtr(i) until m.rowPtr(i + 1)).filter(m.cols(_) > i).sortBy(m.cols(_)))
       yield (i, m.cols(k), m.vals(k))
@@ -171,15 +174,18 @@ object PreferenceTransfer {
   private[core] def yColumn(feats: IndexedSeq[REdgeFeat], x: Int): Array[Double] =
     feats.map(f => if (f.label.exists(hasColumn(_, x))) 1.0 else 0.0).toArray
 
+  /** [[transfer]]; kept for l2rbench until the benchmark PR; `spark` is unused. */
+  def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
+               amr: Double, mu1: Double, mu2: Double): TransferResult = transfer(feats, amr, mu1, mu2)
+
   /** Run the transduction. T-edge rows of Y are one-hot in their learned
     * features; B-edge rows start at zero (unlabelled). Runs on the driver:
     * the nine column solves are independent; the first runs on the calling
-    * thread and the other eight on a [[DriverPool]] of `spark`'s default
-    * parallelism, each with the arithmetic of a solve on its own. Throws
-    * when a CG solve fails (the lowest failing column's error).
+    * thread and the other eight on the [[DriverPool]], each with the
+    * arithmetic of a solve on its own. Throws when a CG solve fails (the
+    * lowest failing column's error).
     */
-  def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
-               amr: Double, mu1: Double, mu2: Double): TransferResult = {
+  def transfer(feats: IndexedSeq[REdgeFeat], amr: Double, mu1: Double, mu2: Double): TransferResult = {
     val n = feats.length
     val (m, scanned) = similarityGraph(feats, amr)
     val t0 = System.nanoTime()
@@ -188,7 +194,7 @@ object PreferenceTransfer {
     // JVM, four threads that start the solver cold were slower than one after
     // another, and on four threads nine columns take three rounds either way
     val first = LinAlg.cg(a, yColumn(feats, 0))
-    val solves = first +: DriverPool.map(1 until P, spark.sparkContext.defaultParallelism)(x => LinAlg.cg(a, yColumn(feats, x)))
+    val solves = first +: DriverPool.map(1 until P, DriverPool.Threads)(x => LinAlg.cg(a, yColumn(feats, x)))
     val yHat = Array.tabulate(n, P)((i, x) => solves(x).x(i))
     val solveMillis = (System.nanoTime() - t0) / 1000000
 

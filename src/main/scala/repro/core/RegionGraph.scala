@@ -413,8 +413,8 @@ object RegionGraph {
     found.toSeq.sorted
   }
 
-  /** [[build]] of the collected trips; `spark` is unused and kept for
-    * callers.
+  /** [[build]] of the collected trips; kept for l2rbench until the
+    * benchmark PR; `spark` is unused.
     */
   def build(spark: SparkSession, net: RoadNetwork, trips: Dataset[Trip],
             regions: Seq[Clustering.Region], params: Params = Params()): RegionGraphIndex =

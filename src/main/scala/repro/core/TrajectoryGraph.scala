@@ -15,7 +15,9 @@ import repro.traj.Trip
   */
 object TrajectoryGraph {
 
-  /** [[clusterInput]] of the collected trips. */
+  /** [[clusterInput]] of the collected trips; kept for l2rbench until the
+    * benchmark PR.
+    */
   def clusterInput(trips: Dataset[Trip], net: RoadNetwork): Seq[Clustering.ClusterEdge] =
     clusterInput(trips.collect().toSeq, net)
 

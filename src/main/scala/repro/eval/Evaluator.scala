@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
 import repro.baselines.Router
 import repro.core.RegionGraphIndex
 import repro.eval.Tables.AccRow
@@ -31,14 +30,13 @@ object Evaluator {
   }
 
   /** Route all test trips with all routers: one row per (trip, router), in
-    * trip order, on `defaultParallelism` driver threads. Trips of fewer than
-    * two vertices are skipped. Throws [[IllegalStateException]] when a
-    * router returns anything but a road path from the trip's first vertex
-    * to its last.
+    * trip order, on the [[DriverPool]]. Trips of fewer than two vertices
+    * are skipped. Throws [[IllegalStateException]] when a router returns
+    * anything but a road path from the trip's first vertex to its last.
     */
-  def evaluate(spark: SparkSession, net: RoadNetwork, index: RegionGraphIndex,
+  def evaluate(net: RoadNetwork, index: RegionGraphIndex,
                routers: Seq[Router], test: Seq[Trip]): Seq[EvalRow] =
-    DriverPool.map(test.toIndexedSeq, spark.sparkContext.defaultParallelism) { t =>
+    DriverPool.map(test.toIndexedSeq, DriverPool.Threads) { t =>
       val gt = t.path.toVector
       if (gt.length < 2) Nil
       else {

@@ -47,17 +47,15 @@ object Scenario {
       pBackground = 0.05),
     Seq(0, 2, 5, 10, 35))
 
-  /** Build a scenario end-to-end (generation → split → fit with
-    * the fit's default `L2RPipeline.Params` → routers).
+  /** Build a scenario end-to-end, without Spark: generation on the driver
+    * pool (`TrajectoryGen.generateLocal`) → split → fit of the training
+    * trips → routers.
     */
-  def build(spark: SparkSession, name: String,
-            netCfg: RoadNetGen.Config, trajCfg: TrajectoryGen.Config,
+  def build(name: String, netCfg: RoadNetGen.Config, trajCfg: TrajectoryGen.Config,
             bounds: Seq[Double]): Scenario = {
-    import spark.implicits._
     val net = RoadNetGen.grid(netCfg)
-    val trips = TrajectoryGen.generate(spark, net, trajCfg).collect().toSeq.sortBy(_.id)
-    val (train, test) = TrajectoryGen.split(trips, trajCfg.trainFrac)
-    val model = L2RPipeline.fit(spark, net, spark.createDataset(train))
+    val (train, test) = TrajectoryGen.split(TrajectoryGen.generateLocal(net, trajCfg), trajCfg.trainFrac)
+    val model = L2RPipeline.fit(net, train)
     val dom = Dom.fit(net, train)
     val trip = TripRouter.fit(net, train)
     val routers = Seq(
@@ -70,22 +68,25 @@ object Scenario {
     Scenario(name, net, train, test, model, routers, bounds)
   }
 
-  def d1(spark: SparkSession, scale: Double = 1.0): Scenario = {
-    val (n, t, b) = d1Config(scale); build(spark, "D1-lite", n, t, b)
+  def d1(scale: Double): Scenario = {
+    val (n, t, b) = d1Config(scale); build("D1-lite", n, t, b)
   }
 
-  def d2(spark: SparkSession, scale: Double = 1.0): Scenario = {
-    val (n, t, b) = d2Config(scale); build(spark, "D2-lite", n, t, b)
+  def d2(scale: Double): Scenario = {
+    val (n, t, b) = d2Config(scale); build("D2-lite", n, t, b)
   }
 
   /** The network seed of [[tiny]]; its trips use the next one. */
   private val TinySeed = 5L
 
+  /** [[tiny]]; kept for l2rbench until the benchmark PR; `spark` is unused. */
+  def tiny(spark: SparkSession): Scenario = tiny()
+
   /** A small scenario for unit tests (fast, still end-to-end). */
-  def tiny(spark: SparkSession): Scenario = {
+  def tiny(): Scenario = {
     val netCfg = RoadNetGen.Config(cols = 28, rows = 20, spacingKm = 0.4, seed = TinySeed)
     val trajCfg = TrajectoryGen.Config(nTrips = 900, nDrivers = 20, nZones = 6,
       zoneRadiusKm = 1.2, seed = TinySeed + 1, longDistKm = 5.0)
-    build(spark, "tiny", netCfg, trajCfg, Seq(0, 2, 5, 10, 35))
+    build("tiny", netCfg, trajCfg, Seq(0, 2, 5, 10, 35))
   }
 }

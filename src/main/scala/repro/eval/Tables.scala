@@ -1,13 +1,12 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{Clustering, PreferenceTransfer}
 import repro.roadnet.RoadNetwork
 import repro.traj.Trip
 import repro.util.Geo
 
 /** Formatters / runners producing each evaluation table, shared by the
-  * spark-submit jobs and the bench suites. Every function returns the
+  * `Reproduce` job and the bench suites. Every function returns the
   * printable table plus the raw numbers for assertions.
   */
 object Tables {
@@ -68,11 +67,10 @@ object Tables {
 
   // ------------------------------------------------- Fig 9 / Table III
 
-  def fig9(spark: SparkSession, tFeats: IndexedSeq[PreferenceTransfer.REdgeFeat],
-           amrDefault: Double, amrs: Seq[Double]): (Seq[(Int, TransferEval.HoldoutResult)],
-                                                    Seq[(Double, TransferEval.HoldoutResult)], String) = {
-    val parts = (1 to 4).map(k => k -> TransferEval.holdout(spark, tFeats, k, amrDefault))
-    val amrSweep = amrs.map(a => a -> TransferEval.holdout(spark, tFeats, 4, a))
+  def fig9(tFeats: IndexedSeq[PreferenceTransfer.REdgeFeat], amrDefault: Double, amrs: Seq[Double])
+      : (Seq[(Int, TransferEval.HoldoutResult)], Seq[(Double, TransferEval.HoldoutResult)], String) = {
+    val parts = (1 to 4).map(k => k -> TransferEval.holdout(tFeats, k, amrDefault))
+    val amrSweep = amrs.map(a => a -> TransferEval.holdout(tFeats, 4, a))
     val sb = new StringBuilder
     sb ++= "Fig 9(a) — transfer accuracy vs #T-edge training partitions (amr=" + amrDefault + ")\n"
     sb ++= "  parts  labelled  heldout  accuracy\n"
@@ -91,9 +89,8 @@ object Tables {
 
   final case class AccRow(algo: String, key: String, sim1: Double, sim2: Double, micros: Double, n: Long)
 
-  def accuracyTables(spark: SparkSession, scenario: Scenario,
-                     algos: Seq[String]): (Seq[AccRow], Seq[AccRow], String) = {
-    val rows = Evaluator.evaluate(spark, scenario.net, scenario.model.index,
+  def accuracyTables(scenario: Scenario, algos: Seq[String]): (Seq[AccRow], Seq[AccRow], String) = {
+    val rows = Evaluator.evaluate(scenario.net, scenario.model.index,
       scenario.routers.filter(r => algos.contains(r.name)), scenario.test)
     val byDist = Evaluator.byDistance(rows, scenario.bounds)
     val byCat = Evaluator.byCategory(rows)

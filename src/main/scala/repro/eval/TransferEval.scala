@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{L2RPipeline, PreferenceTransfer}
 import repro.core.PreferenceTransfer.REdgeFeat
 import repro.roadnet.{CostType, Preference}
@@ -34,7 +33,7 @@ object TransferEval {
     * preferences. T-edges in unused partitions are excluded (the paper
     * scales the training set 1X → 4X).
     */
-  def holdout(spark: SparkSession, tFeats: IndexedSeq[REdgeFeat], nPartsUsed: Int, amr: Double): HoldoutResult = {
+  def holdout(tFeats: IndexedSeq[REdgeFeat], nPartsUsed: Int, amr: Double): HoldoutResult = {
     require(tFeats.forall(_.isT), "holdout expects learned T-edge features")
     val rnd = new scala.util.Random(PartitionSeed)
     val part = tFeats.map(_ => rnd.nextInt(NParts))
@@ -44,7 +43,7 @@ object TransferEval {
     // held-out edges participate unlabelled (preference masked)
     val feats = (labelled ++ heldOut.map(_.copy(label = None))).toIndexedSeq
     val fit = L2RPipeline.Params()
-    val res = PreferenceTransfer.transfer(spark, feats, amr, fit.mu1, fit.mu2)
+    val res = PreferenceTransfer.transfer(feats, amr, fit.mu1, fit.mu2)
 
     val scores = heldOut.zipWithIndex.map { case (gt, k) =>
       val i = labelled.size + k

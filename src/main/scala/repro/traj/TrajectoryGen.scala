@@ -2,6 +2,7 @@ package repro.traj
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.roadnet._
+import repro.util.DriverPool
 
 /** A map-matched trip: the road-network path a driver actually followed,
   * plus the observed door-to-door travel time (minutes). `id` doubles as a
@@ -167,7 +168,7 @@ object TrajectoryGen {
     (zones, out.result())
   }
 
-  /** Route one blueprint into a trip (runs on executors). */
+  /** Route one blueprint into a trip (on an executor or a driver thread). */
   def routeSpec(net: RoadNetwork, s: TripSpec): Option[Trip] = {
     net.prefDijkstra(s.src, s.dst, s.pref).filter(_.length >= 2).map { p =>
       Trip(s.id, s.driver, p, net.pathCost(p, _.tt) * s.ttFactor)
@@ -175,7 +176,9 @@ object TrajectoryGen {
   }
 
   /** Distributed generation: blueprints fan out over executors that hold the
-    * broadcast network and run the preference-aware Dijkstra.
+    * broadcast network and run the preference-aware Dijkstra. l2rbench
+    * generates its trips here; [[generateLocal]] gives the same trips
+    * without Spark.
     */
   def generate(spark: SparkSession, net: RoadNetwork, cfg: Config): Dataset[Trip] = {
     import spark.implicits._
@@ -184,9 +187,12 @@ object TrajectoryGen {
     spark.createDataset(sp).flatMap(s => routeSpec(bc.value, s))
   }
 
-  /** Driver-side generation for small unit tests. */
+  /** Driver-side generation, without Spark: the blueprints are routed on
+    * the [[DriverPool]], and the trips come in blueprint (id) order, the
+    * trips of [[generate]].
+    */
   def generateLocal(net: RoadNetwork, cfg: Config): Seq[Trip] =
-    specs(net, cfg)._2.flatMap(s => routeSpec(net, s))
+    DriverPool.map(specs(net, cfg)._2.toIndexedSeq, DriverPool.Threads)(routeSpec(net, _)).flatten
 
   /** Time-ordered train/test split (first `trainFrac` of ids train). */
   def split(trips: Seq[Trip], trainFrac: Double): (Seq[Trip], Seq[Trip]) = {

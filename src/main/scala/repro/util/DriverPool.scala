@@ -7,9 +7,13 @@ import java.util.concurrent.atomic.AtomicInteger
   * stages whose work is CPU-bound searches against one in-memory network
   * (preference learning, B-edge paths, evaluation): nothing is serialised
   * or scheduled, and each idle thread takes the next item, so uneven items
-  * still balance.
+  * still balance. The pool sizes itself: every stage runs on [[Threads]],
+  * one thread per core of the JVM.
   */
 object DriverPool {
+
+  /** The pool size of every stage: the cores this JVM may use. */
+  val Threads: Int = Runtime.getRuntime.availableProcessors
 
   /** `f` of every item, in item order, computed on up to `threads` threads.
     * After a failure of `f` no thread takes a new item; the items already

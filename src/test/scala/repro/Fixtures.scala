@@ -8,7 +8,7 @@ import repro.eval.Scenario
   * Java serialisation they compare models by.
   */
 object Fixtures {
-  lazy val tiny: Scenario = Scenario.tiny(SparkSpec.shared)
+  lazy val tiny: Scenario = Scenario.tiny()
 
   def serialise(o: AnyRef): Array[Byte] = {
     val bytes = new ByteArrayOutputStream()

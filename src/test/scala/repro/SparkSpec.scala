@@ -1,21 +1,21 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for the suites that need a real SparkSession, one local-mode
+  * session for the whole run. The library runs without one; a suite needs
+  * it only to build a `Dataset` or `DataFrame`: the DuckDB oracle tests
+  * (`Oracle.assertEquivalent` compares DataFrames), the tests of the
+  * `Dataset` and `SparkSession` forms kept for l2rbench (the partition test
+  * among them), distributed generation, and the guards that count Spark
+  * jobs with [[SparkJobs.jobsOf]]. Every other suite extends `AnyFunSuite`.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
@@ -23,13 +23,10 @@ object SparkSpec {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
     // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // derivation saw the real limit.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -1,9 +1,10 @@
 package repro.baselines
 
 import repro.traj.{TrajectoryGen, Trip}
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
+import org.scalatest.funsuite.AnyFunSuite
 
-class BaselinesSpec extends SparkSpec {
+class BaselinesSpec extends AnyFunSuite {
 
   private val grid = TestNets.smallGrid(16, 12)
   private val cfg = TrajectoryGen.Config(nTrips = 250, nDrivers = 8, nZones = 4,

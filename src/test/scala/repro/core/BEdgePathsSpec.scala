@@ -1,9 +1,10 @@
 package repro.core
 
 import repro.roadnet.{CostType, Preference}
-import repro.{Fixtures, SparkSpec, TestNets}
+import repro.{Fixtures, TestNets}
+import org.scalatest.funsuite.AnyFunSuite
 
-class BEdgePathsSpec extends SparkSpec {
+class BEdgePathsSpec extends AnyFunSuite {
 
   private val net = TestNets.smallGrid(12, 10)
   private val tcsPerSide = L2RPipeline.Params().tcsPerSide
@@ -30,7 +31,7 @@ class BEdgePathsSpec extends SparkSpec {
   private def bPaths(regions: Seq[RegionInfo], prefs: Map[(Int, Int), Option[Preference]]): Map[(Int, Int), Seq[Seq[Int]]] = {
     val edges = prefs.keys.toSeq.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
     val idx = new RegionGraphIndex(regions, edges, Nil)
-    BEdgePaths.materialise(spark, net, idx, prefs, tcsPerSide).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
+    BEdgePaths.materialise(net, idx, prefs, tcsPerSide).edges.map { case (k, e) => k -> e.paths.map(_.verts) }
   }
 
   test("materialise routes a B-edge with its preference's Algorithm 2 path") {
@@ -84,7 +85,7 @@ class BEdgePathsSpec extends SparkSpec {
     val rows = fivePrefs.keys.toSeq.sorted.reverse.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
     val idx = new RegionGraphIndex(five, rows, Nil)
     assert(idx.edges.keys.toSeq !== rows.map(_.key), "the rows came in the edges map's order")
-    val out = BEdgePaths.materialise(spark, net, idx, fivePrefs, tcsPerSide)
+    val out = BEdgePaths.materialise(net, idx, fivePrefs, tcsPerSide)
     val inOrder = new RegionGraphIndex(five, rows.map(e => out.edges(e.key)), Nil)
     assert(Fixtures.serialise(out).sameElements(Fixtures.serialise(inOrder)), "materialise reordered the edge rows")
   }
@@ -94,7 +95,7 @@ class BEdgePathsSpec extends SparkSpec {
     val infos = regions.map(r => RegionGraph.regionInfo(net, r, r.members.toArray, 2))
     val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = false, Nil, None)), Nil)
     val pref = Some(Preference(CostType.DI, None))
-    val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref), tcsPerSide)
+    val out = BEdgePaths.materialise(net, idx, Map((0, 1) -> pref), tcsPerSide)
     val e = out.edges((0, 1))
     assert(e.paths.nonEmpty)
     assert(e.pref === pref)
@@ -111,7 +112,7 @@ class BEdgePathsSpec extends SparkSpec {
     val tPaths = Seq(PathRec(Seq(0, 1), 4))
     val idx = new RegionGraphIndex(infos, Seq(RegionEdgeData(0, 1, isT = true, tPaths, None)), Nil)
     val pref = Some(Preference(CostType.TT, Some(3)))
-    val out = BEdgePaths.materialise(spark, net, idx, Map((0, 1) -> pref), tcsPerSide)
+    val out = BEdgePaths.materialise(net, idx, Map((0, 1) -> pref), tcsPerSide)
     assert(out.edges((0, 1)).paths === tPaths)
     assert(out.edges((0, 1)).pref === pref)
   }

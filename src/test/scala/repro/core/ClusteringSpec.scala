@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.SparkSpec
 import repro.core.Clustering.{ClusterEdge, cluster, modularityGain}
+import org.scalatest.funsuite.AnyFunSuite
 
-class ClusteringSpec extends SparkSpec {
+class ClusteringSpec extends AnyFunSuite {
 
   test("modularity gain matches the paper's formula") {
     // ΔQ = s_ij/S − S_i·S_j/S²

@@ -150,7 +150,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("L2R beats Fastest and Shortest on overall accuracy (the paper's headline)") {
-    val (byDist, _, _) = Tables.accuracyTables(spark, sc, Seq("L2R", "Shortest", "Fastest"))
+    val (byDist, _, _) = Tables.accuracyTables(sc, Seq("L2R", "Shortest", "Fastest"))
     val overall = Tables.overall(byDist, _.sim1)
     assert(overall("L2R") > overall("Fastest"),
       s"L2R=${overall("L2R")} vs Fastest=${overall("Fastest")}")
@@ -159,7 +159,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("InRegion accuracy exceeds OutRegion accuracy for L2R") {
-    val rows = Evaluator.evaluate(spark, sc.net, sc.model.index,
+    val rows = Evaluator.evaluate(sc.net, sc.model.index,
       sc.routers.filter(_.name == "L2R"), sc.test)
     val byCat = Evaluator.byCategory(rows).map(r => r.key -> r.sim1).toMap
     for (in <- byCat.get("InRegion"); out <- byCat.get("OutRegion"))
@@ -169,10 +169,15 @@ class EndToEndSpec extends SparkSpec {
   test("the evaluation tables start no Spark job") {
     val small = sc.copy(test = sc.test.take(40))
     val jobs = jobsOf(spark.sparkContext) {
-      Tables.accuracyTables(spark, small, Seq("L2R", "Fastest"))
+      Tables.accuracyTables(small, Seq("L2R", "Fastest"))
       Tables.tableII(small.net, small.test, small.bounds, small.name)
     }
     assert(jobs === 0)
+  }
+
+  test("building a scenario starts no Spark job") {
+    // generation, the fit and the baselines all run on the driver
+    assert(jobsOf(spark.sparkContext)(Scenario.tiny()) === 0)
   }
 
   test("transfer produced preferences for most B-edges (low null rate)") {

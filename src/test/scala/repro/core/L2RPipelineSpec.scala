@@ -10,7 +10,8 @@ import scala.util.Random
 
 /** `L2RPipeline.fit` as a whole: the model does not depend on how the
   * training trips are partitioned, the fit starts no Spark job of its own,
-  * and the fitted index keeps its digest and its compact serialised form.
+  * the Spark forms kept for l2rbench equal the Spark-free ones, and the
+  * fitted index keeps its digest and its compact serialised form.
   */
 class L2RPipelineSpec extends SparkSpec {
   import spark.implicits._
@@ -46,6 +47,29 @@ class L2RPipelineSpec extends SparkSpec {
     val ds = spark.createDataset(trips)
     // a Dataset of local rows collects without a job
     assert(jobsOf(spark.sparkContext)(L2RPipeline.fit(spark, net, ds)) === 0)
+  }
+
+  test("the Spark forms l2rbench calls equal the Spark-free forms") {
+    val sc = Fixtures.tiny
+    val fit = L2RPipeline.Params()
+    val tedges = sc.model.index.edges.values.filter(_.isT).map { e =>
+      PreferenceLearning.TEdgePaths(e.ri, e.rj, e.paths.map(_.verts), e.paths.map(_.count))
+    }.toSeq
+    val learned = PreferenceLearning.learn(sc.net, tedges)
+    assert(exact(PreferenceLearning.learn(spark, sc.net, tedges)) === exact(learned))
+
+    val feats = PreferenceTransfer.features(sc.model.index, PreferenceLearning.byKey(learned))
+    val res = PreferenceTransfer.transfer(feats, fit.amr, fit.mu1, fit.mu2)
+    val viaSpark = PreferenceTransfer.transfer(spark, feats, fit.amr, fit.mu1, fit.mu2)
+    def bits(y: Array[Array[Double]]) = y.toSeq.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
+    assert(bits(viaSpark.yHat) === bits(res.yHat))
+    assert(viaSpark.prefs === res.prefs)
+    assert(PreferenceTransfer.adjacency(spark, feats, fit.amr) === PreferenceTransfer.adjacency(feats, fit.amr))
+
+    val index = BEdgePaths.materialise(sc.net, sc.model.index, res.prefs, fit.tcsPerSide)
+    val indexViaSpark = BEdgePaths.materialise(spark, sc.net, sc.model.index, res.prefs, fit.tcsPerSide)
+    assert(L2RPipeline.Model.digest(indexViaSpark) === L2RPipeline.Model.digest(index))
+    assert(L2RPipeline.fit(spark, net, spark.createDataset(trips)).digest === L2RPipeline.fit(net, trips).digest)
   }
 
   test("the tiny scenario's model keeps its pinned digest") {

@@ -1,9 +1,10 @@
 package repro.core
 
 import repro.roadnet.{CostType, Preference}
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
+import org.scalatest.funsuite.AnyFunSuite
 
-class L2RRoutingSpec extends SparkSpec {
+class L2RRoutingSpec extends AnyFunSuite {
 
   // Line 0..9 with regions A={0,1,2}, B={5,6}, C={8,9}
   private val net = TestNets.line(10)

@@ -2,9 +2,10 @@ package repro.core
 
 import repro.eval.PathSim
 import repro.roadnet.{CostType, Preference, RoadNetwork}
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
+import org.scalatest.funsuite.AnyFunSuite
 
-class PreferenceLearningSpec extends SparkSpec {
+class PreferenceLearningSpec extends AnyFunSuite {
 
   private val grid = TestNets.smallGrid(16, 12)
 
@@ -12,7 +13,7 @@ class PreferenceLearningSpec extends SparkSpec {
     * and average similarity.
     */
   private def learnOne(net: RoadNetwork, paths: Seq[(Seq[Int], Int)]): (Preference, Double) = {
-    val lp = PreferenceLearning.learn(spark, net, Seq(PreferenceLearning.TEdgePaths(0, 0, paths.map(_._1), paths.map(_._2)))).head
+    val lp = PreferenceLearning.learn(net, Seq(PreferenceLearning.TEdgePaths(0, 0, paths.map(_._1), paths.map(_._2)))).head
     (lp.pref, lp.avgSim)
   }
 
@@ -80,7 +81,7 @@ class PreferenceLearningSpec extends SparkSpec {
       val p = grid.dijkstra(s, d, _.dist).get
       PreferenceLearning.TEdgePaths(i, i + 100, Seq(p), Seq(1))
     }
-    val learned = PreferenceLearning.learn(spark, grid, tedges).sortBy(_.ri)
+    val learned = PreferenceLearning.learn(grid, tedges).sortBy(_.ri)
     learned.zip(tedges).foreach { case (lp, te) =>
       val (expect, sim) = learnOne(grid, te.paths.zip(te.counts))
       assert(lp.pref === expect)
@@ -127,7 +128,7 @@ class PreferenceLearningSpec extends SparkSpec {
     val stored = tedges.flatMap(_.paths).filter(_.length >= 2)
     assert(stored.map(_.head).distinct.size < stored.size, "no two paths share a head")
     assert(stored.exists(p => prefs.exists(TestNets.needsFallback(grid, p.head, p.last, _))), "no search needs the fallback")
-    val learned = PreferenceLearning.learn(spark, grid, tedges)
+    val learned = PreferenceLearning.learn(grid, tedges)
     assert(learned.map(lp => (lp.ri, lp.rj)) === tedges.map(te => (te.ri, te.rj)))
     learned.zip(tedges).foreach { case (lp, te) =>
       val (expect, sim) = perPathLearn(grid, te.paths.zip(te.counts))

@@ -1,11 +1,12 @@
 package repro.core
 
-import repro.{Fixtures, SparkSpec}
+import repro.Fixtures
 import repro.core.PreferenceTransfer._
 import repro.roadnet.{CostType, Preference}
 import repro.util.{DenseSolve, LinAlg}
+import org.scalatest.funsuite.AnyFunSuite
 
-class PreferenceTransferSpec extends SparkSpec {
+class PreferenceTransferSpec extends AnyFunSuite {
 
   /** The fit's μ₁ and μ₂. */
   private val fit = L2RPipeline.Params()
@@ -60,7 +61,7 @@ class PreferenceTransferSpec extends SparkSpec {
       feat(0, isT = true, 5.0, Seq(13)),
       feat(1, isT = true, 5.0, Seq(13)), // sim to 0: 1.0
       feat(2, isT = false, 50.0, Seq(46))) // dissimilar to both
-    val entries = adjacency(spark, feats, amr = 0.7)
+    val entries = adjacency(feats, amr = 0.7)
     assert(entries.map(e => (e._1, e._2)).toSet === Set((0, 1)))
     assert(math.abs(entries.head._3 - 1.0) < 1e-12)
   }
@@ -69,8 +70,8 @@ class PreferenceTransferSpec extends SparkSpec {
     val rnd = new scala.util.Random(8)
     val feats = IndexedSeq.tabulate(12)(i =>
       feat(i, isT = i < 6, 1.0 + rnd.nextDouble() * 9, Seq(11 + rnd.nextInt(4), 33 + rnd.nextInt(3))))
-    val hi = adjacency(spark, feats, 0.8).size
-    val lo = adjacency(spark, feats, 0.4).size
+    val hi = adjacency(feats, 0.8).size
+    val lo = adjacency(feats, 0.4).size
     assert(lo >= hi)
   }
 
@@ -98,7 +99,7 @@ class PreferenceTransferSpec extends SparkSpec {
         s = reSim(feats(i).dis, feats(i).fpairs, feats(j).dis, feats(j).fpairs) if s >= amr
       } yield (i, j, s)
       assert(expect.nonEmpty)
-      assert(bits(adjacency(spark, feats, amr)) === bits(expect), s"amr $amr")
+      assert(bits(adjacency(feats, amr)) === bits(expect), s"amr $amr")
     }
   }
 
@@ -117,7 +118,7 @@ class PreferenceTransferSpec extends SparkSpec {
         val lo = math.min(feats(i).dis, feats(j).dis); val hi = math.max(feats(i).dis, feats(j).dis)
         lo / hi >= 2 * amr - 1 - 1e-9
       }).count(identity)
-      val res = transfer(spark, feats, amr, fit.mu1, fit.mu2)
+      val res = transfer(feats, amr, fit.mu1, fit.mu2)
       assert(res.pairsScanned === inBand.toLong, s"amr $amr")
       assert(res.pairsScanned < feats.size * (feats.size - 1) / 2 && res.pairsScanned >= res.adjacencyNnz, s"amr $amr")
     }
@@ -133,7 +134,7 @@ class PreferenceTransferSpec extends SparkSpec {
       REdgeFeat(3, 4, 20.0, Seq(22), Some(Preference(CostType.TT, Some(2)))),
       REdgeFeat(5, 6, 4.2, Seq(11), None),
       REdgeFeat(7, 8, 21.0, Seq(22), None))
-    val res = transfer(spark, feats, amr = 0.7, mu1 = 1.0, mu2 = 0.01)
+    val res = transfer(feats, amr = 0.7, mu1 = 1.0, mu2 = 0.01)
     val p3 = res.prefs((5, 6)).get
     val p4 = res.prefs((7, 8)).get
     assert(p3.master === CostType.DI && p3.slave === Some(1))
@@ -145,7 +146,7 @@ class PreferenceTransferSpec extends SparkSpec {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.FC, None))),
       REdgeFeat(5, 6, 4.0, Seq(11), None))
-    val res = transfer(spark, feats, 0.7, fit.mu1, fit.mu2)
+    val res = transfer(feats, 0.7, fit.mu1, fit.mu2)
     val kept = res.prefs((1, 2)).get
     assert(kept.master === CostType.FC && kept.slave === None)
   }
@@ -154,7 +155,7 @@ class PreferenceTransferSpec extends SparkSpec {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, 1.0, Seq(11), Some(Preference(CostType.DI, None))),
       REdgeFeat(5, 6, 500.0, Seq(66), None)) // similarity ≈ 0
-    val res = transfer(spark, feats, 0.7, fit.mu1, fit.mu2)
+    val res = transfer(feats, 0.7, fit.mu1, fit.mu2)
     assert(res.prefs((5, 6)) === None)
     assert(res.nullRate === 1.0)
   }
@@ -163,7 +164,7 @@ class PreferenceTransferSpec extends SparkSpec {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.TT, None))),
       REdgeFeat(5, 6, 4.0, Seq(11), None))
-    val res = transfer(spark, feats, 0.7, fit.mu1, fit.mu2)
+    val res = transfer(feats, 0.7, fit.mu1, fit.mu2)
     assert(res.prefs((5, 6)).get.slave === None)
   }
 
@@ -172,7 +173,7 @@ class PreferenceTransferSpec extends SparkSpec {
       REdgeFeat(1, 2, 4.0, Seq(11), Some(Preference(CostType.DI, None))),
       REdgeFeat(5, 6, 4.0, Seq(11), None),   // sim 1.0
       REdgeFeat(7, 8, 5.5, Seq(11), None))   // sim < 1
-    val res = transfer(spark, feats, 0.5, fit.mu1, fit.mu2)
+    val res = transfer(feats, 0.5, fit.mu1, fit.mu2)
     assert(res.yHat(1)(CostType.DI.id) > res.yHat(2)(CostType.DI.id))
   }
 
@@ -195,7 +196,7 @@ class PreferenceTransferSpec extends SparkSpec {
   private def denseA(feats: IndexedSeq[REdgeFeat], amr: Double, mu1: Double, mu2: Double): Array[Array[Double]] = {
     val n = feats.length
     val m = Array.fill(n, n)(0.0)
-    adjacency(spark, feats, amr).foreach { case (i, j, s) => m(i)(j) = s; m(j)(i) = s }
+    adjacency(feats, amr).foreach { case (i, j, s) => m(i)(j) = s; m(j)(i) = s }
     Array.tabulate(n, n) { (i, j) =>
       val sDiag = if (feats(i).isT) 1.0 else 0.0
       val deg = m(i).sum
@@ -215,7 +216,7 @@ class PreferenceTransferSpec extends SparkSpec {
       REdgeFeat(5, 6, 4.4, Seq(11, 12), None),
       REdgeFeat(7, 8, 5.2, Seq(11, 13), None))
     val amr = 0.3; val mu1 = 1.0; val mu2 = 0.01
-    val res = transfer(spark, feats, amr, mu1, mu2)
+    val res = transfer(feats, amr, mu1, mu2)
     val a = denseA(feats, amr, mu1, mu2)
     for (x <- 0 until P) {
       val b = rhs(feats, x)
@@ -243,8 +244,8 @@ class PreferenceTransferSpec extends SparkSpec {
     val isolated = IndexedSeq.tabulate(10)(k => REdgeFeat(2000 + k, 3000 + k, 1e4 * (k + 1), Seq(100 + k), None))
     val feats = linked ++ isolated
     val amr = 0.6; val mu1 = 1.0; val mu2 = 0.01
-    assert(adjacency(spark, feats, amr).forall { case (i, j, _) => i < linked.size && j < linked.size })
-    val res = transfer(spark, feats, amr, mu1, mu2)
+    assert(adjacency(feats, amr).forall { case (i, j, _) => i < linked.size && j < linked.size })
+    val res = transfer(feats, amr, mu1, mu2)
     val a = denseA(feats, amr, mu1, mu2)
     for (x <- 0 until P) {
       val b = rhs(feats, x)
@@ -256,7 +257,7 @@ class PreferenceTransferSpec extends SparkSpec {
       if (bNorm > 0) assert(math.sqrt(r.map(v => v * v).sum) / bNorm <= 1e-10, s"column $x")
       assert(res.cgResidual(x) <= 1e-10 && (bNorm == 0) == (res.cgIterations(x) == 0))
     }
-    val again = transfer(spark, feats, amr, mu1, mu2)
+    val again = transfer(feats, amr, mu1, mu2)
     assert(res.yHat.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq ===
       again.yHat.flatten.map(java.lang.Double.doubleToRawLongBits).toSeq)
   }
@@ -264,7 +265,7 @@ class PreferenceTransferSpec extends SparkSpec {
   test("the pooled column solves equal sequential CG solves bit for bit on the tiny scenario") {
     val model = Fixtures.tiny.model
     val feats = features(model.index, PreferenceLearning.byKey(model.learned))
-    val res = transfer(spark, feats, fit.amr, fit.mu1, fit.mu2)
+    val res = transfer(feats, fit.amr, fit.mu1, fit.mu2)
     val a = systemMatrix(similarityGraph(feats, fit.amr)._1, feats, fit.mu1, fit.mu2)
     for (x <- 0 until P) {
       val seq = LinAlg.cg(a, yColumn(feats, x))
@@ -280,6 +281,6 @@ class PreferenceTransferSpec extends SparkSpec {
     val feats = IndexedSeq(
       REdgeFeat(1, 2, 4.0, Seq(11, 12), Some(Preference(CostType.DI, Some(1)))),
       REdgeFeat(3, 4, 1e4, Seq(99), None))
-    intercept[IllegalArgumentException](transfer(spark, feats, 0.7, fit.mu1, 0.0))
+    intercept[IllegalArgumentException](transfer(feats, 0.7, fit.mu1, 0.0))
   }
 }

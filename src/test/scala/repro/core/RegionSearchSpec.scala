@@ -1,11 +1,12 @@
 package repro.core
 
-import repro.{Fixtures, SparkSpec, TestNets}
+import repro.{Fixtures, TestNets}
 import repro.TestNets.refRegionPath
 import repro.roadnet.CostType
 
 import org.scalacheck.rng.Seed
 import org.scalacheck.{Gen, Prop, Test}
+import org.scalatest.funsuite.AnyFunSuite
 
 import scala.collection.mutable
 import scala.util.Random
@@ -15,7 +16,7 @@ import scala.util.Random
   * graphs, the connectivity check, and per-thread workspace safety next to
   * road searches.
   */
-class RegionSearchSpec extends SparkSpec {
+class RegionSearchSpec extends AnyFunSuite {
 
   /** A seeded region graph on 2–14 one-vertex regions with integer
     * centroids in 0..3, so equal-cost region paths are exact and common. A

@@ -1,12 +1,13 @@
 package repro.core
 
-import repro.{Fixtures, SparkSpec}
+import repro.Fixtures
 import repro.eval.Scenario
 import repro.roadnet.{Preference, RoadNetGen}
 import repro.traj.TrajectoryGen
 
 import java.io.{DataOutputStream, OutputStream}
 import java.security.{DigestOutputStream, MessageDigest}
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Identity pins for the training sets of l2rbench's two workloads:
   * `Scenario.build` on D2-lite at scale 0.07 and on D1-lite at 0.1. Each fit
@@ -16,7 +17,7 @@ import java.security.{DigestOutputStream, MessageDigest}
   * ordered region pair. A change that moves any of them fails here; a
   * deliberate re-baseline updates the pins and says why.
   */
-class WorkloadPinsSpec extends SparkSpec {
+class WorkloadPinsSpec extends AnyFunSuite {
 
   /** SHA-256 (hex) of what `write` writes to a data stream. */
   private def sha(write: DataOutputStream => Unit): String = {
@@ -67,7 +68,7 @@ class WorkloadPinsSpec extends SparkSpec {
   }
 
   private def scenario(name: String, cfg: (RoadNetGen.Config, TrajectoryGen.Config, Seq[Double])): Scenario =
-    Scenario.build(spark, name, cfg._1, cfg._2, cfg._3)
+    Scenario.build(name, cfg._1, cfg._2, cfg._3)
 
   private lazy val d2 = scenario("D2-lite", Scenario.d2Config(0.07))
   private lazy val d1 = scenario("D1-lite", Scenario.d1Config(0.1))

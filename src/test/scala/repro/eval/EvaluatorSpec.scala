@@ -28,19 +28,19 @@ class EvaluatorSpec extends SparkSpec {
 
   test("evaluate produces one row per (trip, router)") {
     val routers: Seq[Router] = Seq(new Baselines.Shortest(net), new Baselines.Fastest(net))
-    val rows = Evaluator.evaluate(spark, net, index, routers, trips)
+    val rows = Evaluator.evaluate(net, index, routers, trips)
     assert(rows.length === trips.size * routers.size)
     assert(rows.map(r => (r.tripId, r.algo)) === trips.flatMap(t => routers.map(r => (t.id, r.name))))
     assert(rows.map(_.algo).toSet === Set("Shortest", "Fastest"))
   }
 
   test("on a line all routers find the ground truth exactly") {
-    val rows = Evaluator.evaluate(spark, net, index, Seq(new Baselines.Fastest(net)), trips)
+    val rows = Evaluator.evaluate(net, index, Seq(new Baselines.Fastest(net)), trips)
     rows.foreach { r => assert(r.sim1 === 1.0); assert(r.sim2 === 1.0) }
   }
 
   test("gtKm and category are recorded") {
-    val rows = Evaluator.evaluate(spark, net, index, Seq(new Baselines.Fastest(net)), trips)
+    val rows = Evaluator.evaluate(net, index, Seq(new Baselines.Fastest(net)), trips)
     assert(math.abs(rows(0).gtKm - 3.0) < 1e-9)
     assert(rows(0).category === "InOutRegion")
     assert(rows(1).category === "InRegion")
@@ -87,7 +87,7 @@ class EvaluatorSpec extends SparkSpec {
   }
 
   test("byCategory covers every observed category") {
-    val rows = Evaluator.evaluate(spark, net, index, Seq(new Baselines.Fastest(net)), trips)
+    val rows = Evaluator.evaluate(net, index, Seq(new Baselines.Fastest(net)), trips)
     assert(Evaluator.byCategory(rows).map(_.key).toSet === Set("InRegion", "InOutRegion", "OutRegion"))
   }
 
@@ -112,7 +112,7 @@ class EvaluatorSpec extends SparkSpec {
   }
 
   test("latency is measured (non-negative micros)") {
-    val rows = Evaluator.evaluate(spark, net, index, Seq(new Baselines.Fastest(net)), trips)
+    val rows = Evaluator.evaluate(net, index, Seq(new Baselines.Fastest(net)), trips)
     assert(rows.forall(_.micros >= 0))
   }
 
@@ -123,9 +123,9 @@ class EvaluatorSpec extends SparkSpec {
     }
     // trip 2 (4 → 5) is one edge, so Vector(s, d) is its valid path; trip 0 (0 → 3) is not
     val e = intercept[IllegalStateException](
-      Evaluator.evaluate(spark, net, index, Seq(hostile), trips.filter(_.id != 1)))
+      Evaluator.evaluate(net, index, Seq(hostile), trips.filter(_.id != 1)))
     Seq("Hostile", "trip 0", "from 0 to 3").foreach(w => assert(e.getMessage.contains(w), e.getMessage))
-    assert(Evaluator.evaluate(spark, net, index, Seq(hostile), trips.filter(_.id == 2)).map(_.sim1) === Seq(1.0))
+    assert(Evaluator.evaluate(net, index, Seq(hostile), trips.filter(_.id == 2)).map(_.sim1) === Seq(1.0))
   }
 
   test("evaluate names the lowest invalid trip when several are invalid") {
@@ -139,7 +139,7 @@ class EvaluatorSpec extends SparkSpec {
     }
     val valid = (0 until 40).map(i => Trip(i, 0, Seq(i % 9, i % 9 + 1), 1))
     val bad = Seq(Trip(40, 1, Seq(0, 1, 2, 3), 1), Trip(41, 2, Seq(0, 1, 2, 3), 1))
-    val e = intercept[IllegalStateException](Evaluator.evaluate(spark, net, index, Seq(hostile), valid ++ bad ++ valid))
+    val e = intercept[IllegalStateException](Evaluator.evaluate(net, index, Seq(hostile), valid ++ bad ++ valid))
     assert(e.getMessage === "Hostile returned an invalid path for trip 40 from 0 to 3")
   }
 }

@@ -1,8 +1,9 @@
 package repro.eval
 
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
+import org.scalatest.funsuite.AnyFunSuite
 
-class PathSimSpec extends SparkSpec {
+class PathSimSpec extends AnyFunSuite {
 
   private val line = TestNets.line(6) // 0-1-2-3-4-5, unit lengths
 

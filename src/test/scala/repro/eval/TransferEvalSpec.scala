@@ -1,11 +1,11 @@
 package repro.eval
 
-import repro.SparkSpec
 import repro.core.PreferenceTransfer.REdgeFeat
 import repro.roadnet.{CostType, Preference}
 import repro.roadnet.CostType.{DI, FC, TT}
+import org.scalatest.funsuite.AnyFunSuite
 
-class TransferEvalSpec extends SparkSpec {
+class TransferEvalSpec extends AnyFunSuite {
 
   test("prefJaccard: identical preferences score 1") {
     assert(TransferEval.prefJaccard(Preference(DI, Some(3)), Preference(DI, Some(3))) === 1.0)
@@ -55,14 +55,14 @@ class TransferEvalSpec extends SparkSpec {
 
   test("holdout recovers clustered preferences with high accuracy") {
     val feats = clusteredFeats(4, 12)
-    val r = TransferEval.holdout(spark, feats, nPartsUsed = 4, amr = 0.7)
+    val r = TransferEval.holdout(feats, nPartsUsed = 4, amr = 0.7)
     assert(r.nHeldOut > 0)
     assert(r.accuracy > 0.8, s"expected high accuracy on clustered data, got ${r.accuracy}")
   }
 
   test("accuracy grows (weakly) with more labelled partitions") {
     val feats = clusteredFeats(4, 12)
-    val accs = (1 to 4).map(k => TransferEval.holdout(spark, feats, k, 0.7).accuracy)
+    val accs = (1 to 4).map(k => TransferEval.holdout(feats, k, 0.7).accuracy)
     assert(accs.last >= accs.head - 0.05, s"4X should not be clearly worse than 1X: $accs")
   }
 
@@ -70,22 +70,22 @@ class TransferEvalSpec extends SparkSpec {
     val feats = clusteredFeats(3, 8)
     // make clusters internally slightly dissimilar so amr≈1 disconnects them
     val spread = feats.zipWithIndex.map { case (f, i) => f.copy(dis = f.dis * (1.0 + 0.1 * (i % 5))) }
-    val lo = TransferEval.holdout(spark, spread, 4, amr = 0.5)
-    val hi = TransferEval.holdout(spark, spread, 4, amr = 0.999)
+    val lo = TransferEval.holdout(spread, 4, amr = 0.5)
+    val hi = TransferEval.holdout(spread, 4, amr = 0.999)
     assert(hi.nullRate >= lo.nullRate)
   }
 
   test("nnz shrinks as amr grows") {
     val feats = clusteredFeats(4, 10)
-    val lo = TransferEval.holdout(spark, feats, 4, amr = 0.5)
-    val hi = TransferEval.holdout(spark, feats, 4, amr = 0.9)
+    val lo = TransferEval.holdout(feats, 4, amr = 0.5)
+    val hi = TransferEval.holdout(feats, 4, amr = 0.9)
     assert(hi.nnz <= lo.nnz)
   }
 
   test("holdout rejects B-edge inputs") {
     val bad = IndexedSeq(REdgeFeat(1, 2, 1.0, Seq(11), None))
     intercept[IllegalArgumentException] {
-      TransferEval.holdout(spark, bad, 2, 0.7)
+      TransferEval.holdout(bad, 2, 0.7)
     }
   }
 }

@@ -1,11 +1,12 @@
 package repro.roadnet
 
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
 
 import scala.util.Random
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Tests of the paper's Algorithm 2 (preference-aware Dijkstra). */
-class PrefDijkstraSpec extends SparkSpec {
+class PrefDijkstraSpec extends AnyFunSuite {
 
   // Diamond: top route is motorway (fast, long), bottom is residential
   // (short, slow). 0 → 1 → 3 (top, rt 1), 0 → 2 → 3 (bottom, rt 6).

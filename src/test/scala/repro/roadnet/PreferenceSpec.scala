@@ -1,9 +1,9 @@
 package repro.roadnet
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** [[Preference.code]], the one integer form of a [[Preference]]. */
-class PreferenceSpec extends SparkSpec {
+class PreferenceSpec extends AnyFunSuite {
 
   test("Preference.all holds the 21 preferences, and fromCode inverts code on each") {
     val expect = for (c <- CostType.all; s <- None +: (1 to 6).map(Some(_))) yield Preference(c, s)

@@ -1,8 +1,9 @@
 package repro.roadnet
 
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
+import org.scalatest.funsuite.AnyFunSuite
 
-class RoadNetGenSpec extends SparkSpec {
+class RoadNetGenSpec extends AnyFunSuite {
 
   private val cfg = RoadNetGen.Config(cols = 20, rows = 15, spacingKm = 0.5, seed = 9L)
   private val net = RoadNetGen.grid(cfg)

@@ -1,8 +1,9 @@
 package repro.roadnet
 
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
+import org.scalatest.funsuite.AnyFunSuite
 
-class RoadNetworkSpec extends SparkSpec {
+class RoadNetworkSpec extends AnyFunSuite {
 
   private val line = TestNets.line(5)
   private val grid = TestNets.smallGrid()

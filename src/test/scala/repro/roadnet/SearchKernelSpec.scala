@@ -1,6 +1,6 @@
 package repro.roadnet
 
-import repro.{SparkSpec, TestNets}
+import repro.TestNets
 import repro.TestNets.{needsFallback, refPref, refSearch, tieNet}
 
 import org.scalacheck.rng.Seed
@@ -8,13 +8,14 @@ import org.scalacheck.{Gen, Prop, Test}
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import scala.util.Random
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Tests of `RoadNetwork`'s search kernel: tie-exact agreement with the
   * library-heap loop it replaced, for one target, many targets and cost
   * columns, the reach pass of many-preference searches, per-thread
   * workspace safety, and its input checks.
   */
-class SearchKernelSpec extends SparkSpec {
+class SearchKernelSpec extends AnyFunSuite {
 
   private val prefs = Preference.all
   private val lambda: EdgeCost = e => e.dist + 2 * e.tt * (e.rt % 2)

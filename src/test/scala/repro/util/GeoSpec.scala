@@ -1,8 +1,8 @@
 package repro.util
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class GeoSpec extends SparkSpec {
+class GeoSpec extends AnyFunSuite {
 
   test("hull of a unit square is the square") {
     val sq = Seq((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5))

@@ -1,8 +1,8 @@
 package repro.util
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class LinAlgSpec extends SparkSpec {
+class LinAlgSpec extends AnyFunSuite {
 
   /** The CSR form of a dense matrix, keeping its non-zero off-diagonals. */
   private def csr(a: Array[Array[Double]]): LinAlg.Csr = {
