@@ -24,13 +24,15 @@ object BEdgePaths {
     * region's centroid; fall back to the member vertex nearest that
     * centroid when the region has no recorded transfer centers.
     */
-  def pickTcs(net: RoadNetwork, r: RegionInfo, other: RegionInfo, k: Int): Seq[Int] = {
-    def d(v: Int) = {
-      val vv = net.vertices(v)
-      math.hypot(vv.x - other.cx, vv.y - other.cy)
-    }
-    val cands = if (r.transferCenters.nonEmpty) r.transferCenters.toSeq else r.members.toSeq
-    cands.sortBy(v => (d(v), v)).take(k)
+  def pickTcs(net: RoadNetwork, r: RegionInfo, other: RegionInfo, k: Int): Seq[Int] =
+    nearest(net, r.transferCenters, r.members, other.cx, other.cy, k)
+
+  /** [[pickTcs]] of a region with transfer centers `tcs` and members
+    * `members`, towards the point (`x`, `y`).
+    */
+  private def nearest(net: RoadNetwork, tcs: Array[Int], members: Array[Int], x: Double, y: Double, k: Int): Seq[Int] = {
+    def d(v: Int) = math.hypot(net.vertices(v).x - x, net.vertices(v).y - y)
+    (if (tcs.nonEmpty) tcs else members).toSeq.sortBy(v => (d(v), v)).take(k)
   }
 
   /** [[materialise]]; kept for l2rbench until the benchmark PR; `spark` is unused. */
@@ -40,20 +42,24 @@ object BEdgePaths {
 
   /** Materialise paths for all B-edges of the index, returning a new index
     * whose B-edges carry paths (count 0 ⇒ synthetic, not trajectory-backed)
-    * and preferences, with the edge rows in the same order. A B-edge's paths
-    * are those between its transfer-center pairs (s, d), s ≠ d, source-major,
-    * without repeats, with `tcsPerSide` centers picked on each side. The
-    * searches run on the [[DriverPool]].
+    * and whose edges carry `prefs` (a T-edge missing from `prefs` keeps its
+    * preference, a B-edge gets none), with the edge rows in the same order.
+    * A B-edge's paths are those between its transfer-center pairs (s, d),
+    * s ≠ d, source-major, without repeats, with `tcsPerSide` centers picked
+    * on each side. The searches run on the [[DriverPool]]; the regions, the
+    * rows and the T-edge and inner paths are taken over from `index` as
+    * they are ([[RegionGraphIndex.withBEdgePaths]]).
     */
   def materialise(net: RoadNetwork, index: RegionGraphIndex,
                   prefs: Map[(Int, Int), Option[Preference]],
                   tcsPerSide: Int): RegionGraphIndex = {
-    val rows = index.edgeRows
-    val plans = rows.filterNot(_.isT).map { e =>
-      val a = index.regions(e.ri); val b = index.regions(e.rj)
-      val pref = prefs.getOrElse(e.key, None).getOrElse(Preference(CostType.TT, None))
-      val pairs = for (s <- pickTcs(net, a, b, tcsPerSide); d <- pickTcs(net, b, a, tcsPerSide) if s != d) yield (s, d)
-      (e.key, pref, pairs)
+    def side(a: Int, b: Int) =
+      nearest(net, index.transferCenters(a), index.members(a), index.cx(b), index.cy(b), tcsPerSide)
+    val plans = (0 until index.nEdges).filterNot(index.edgeIsT(_)).map { e =>
+      val (a, b) = (index.edgeRi(e), index.edgeRj(e))
+      val pref = prefs.getOrElse(index.edgeKey(e), None).getOrElse(Preference(CostType.TT, None))
+      val pairs = for (s <- side(a, b); d <- side(b, a) if s != d) yield (s, d)
+      (e, pref, pairs)
     }
     // one search per (source, preference), to every target some B-edge pairs with it
     val targets = mutable.LinkedHashMap.empty[(Int, Preference), mutable.LinkedHashSet[Int]]
@@ -67,15 +73,12 @@ object BEdgePaths {
       ds.zip(ps).map { case (d, p) => (s, pref, d) -> p }
     }.toMap
 
-    val results = plans.map { case (key, pref, pairs) =>
-      key -> pairs.flatMap { case (s, d) => found((s, pref, d)) }
-        .filter(_.length >= 2).distinct.map(PathRec(_, 0))
+    val bPaths = plans.map { case (e, pref, pairs) =>
+      e -> pairs.flatMap { case (s, d) => found((s, pref, d)) }.filter(_.length >= 2).distinct
     }.toMap
-
-    val newRows = rows.map { e =>
-      if (e.isT) e.copy(pref = prefs.getOrElse(e.key, e.pref))
-      else e.copy(paths = results(e.key), pref = prefs.getOrElse(e.key, None))
+    val pref = Array.tabulate(index.nEdges) { e =>
+      prefs.getOrElse(index.edgeKey(e), if (index.edgeIsT(e)) index.pref(e) else None).fold(-1)(Preference.code).toByte
     }
-    new RegionGraphIndex(index.regions, newRows, index.innerPaths)
+    index.withBEdgePaths(pref, bPaths)
   }
 }

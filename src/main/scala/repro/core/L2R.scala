@@ -37,10 +37,13 @@ final class L2RRouter(net: RoadNetwork, index: RegionGraphIndex) {
     * adjacency with the centroid distances as its cost column and
     * [[HopPenaltyKm]] as its per-hop cost. Its heap pops equal costs in the
     * order of the library priority queue the search once used, so every
-    * region path stays the same.
+    * region path stays the same. A direct region edge answers without a
+    * search: its path costs dis + 1 km, and a path of k ≥ 2 hops at least
+    * dis + k km by the triangle inequality on centroids.
     */
   def regionPath(rs: Int, rd: Int): Option[Seq[Int]] =
     if (!isRegion(rs) || !isRegion(rd)) None
+    else if (index.edgeRow(rs, rd) >= 0) Some(Vector(rs, rd))
     else index.graph.search(rs, Array(rd), index.adjacency.dist, -1, HopPenaltyKm)(0)
 
   /** The s … d slice of the most-traversed stored path, among the rows of

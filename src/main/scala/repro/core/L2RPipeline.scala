@@ -52,36 +52,32 @@ object L2RPipeline {
 
   object Model {
     /** SHA-256 (hex) of a canonical encoding of `index`, read from its
-      * views: regions by id (members sorted; centroid bits, top road types
-      * and transfer centres in order), the vertex → region map by vertex,
-      * region edges by key (endpoints, isT, preference, stored paths with
-      * their counts in order) and the inner paths of each region that has
-      * some, by id. Equal digests mean equal routing infrastructure,
-      * whatever the serialised bytes.
+      * arrays: regions by id (members sorted; centroid bits, top road types
+      * and transfer centres in order), every region member's region by
+      * vertex, region edges by key (endpoints, isT, preference, stored paths
+      * with their counts in order) and the inner paths of each region that
+      * has some, by id. Equal digests mean equal routing infrastructure,
+      * whatever the serialised bytes or the order of the edge rows.
       */
     def digest(index: RegionGraphIndex): String = {
       val md = MessageDigest.getInstance("SHA-256")
       val out = new DataOutputStream(new DigestOutputStream(OutputStream.nullOutputStream(), md))
-      def ints(xs: Iterable[Int]): Unit = { out.writeInt(xs.size); xs.foreach(out.writeInt) }
-      def paths(ps: Seq[PathRec]): Unit = { out.writeInt(ps.size); ps.foreach { p => ints(p.verts); out.writeInt(p.count) } }
-      out.writeInt(index.regions.size)
-      index.regions.foreach { r =>
-        out.writeInt(r.id); ints(r.members.sorted); out.writeDouble(r.cx); out.writeDouble(r.cy)
-        ints(r.topRts); ints(r.transferCenters)
+      def each[A](xs: Iterable[A])(f: A => Unit): Unit = { out.writeInt(xs.size); xs.foreach(f) }
+      def ints(xs: Iterable[Int]): Unit = each(xs)(out.writeInt)
+      def paths(ps: Range): Unit = each(ps) { p => ints(index.verts(p)); out.writeInt(index.pathCount(p)) }
+      val regions = 0 until index.nRegions
+      each(regions) { r =>
+        out.writeInt(r); ints(index.members(r).sorted); out.writeDouble(index.cx(r)); out.writeDouble(index.cy(r))
+        ints(index.topRts(r)); ints(index.transferCenters(r))
       }
-      val vr = index.vertexRegion.toSeq.sorted
-      out.writeInt(vr.size)
-      vr.foreach { case (v, r) => out.writeInt(v); out.writeInt(r) }
-      val edges = index.edges.toSeq.sortBy(_._1)
-      out.writeInt(edges.size)
-      edges.foreach { case ((a, b), e) =>
-        out.writeInt(a); out.writeInt(b); out.writeInt(e.ri); out.writeInt(e.rj); out.writeBoolean(e.isT)
-        out.writeInt(e.pref.fold(-1)(_.masterId)); out.writeInt(e.pref.fold(-1)(_.slaveRt))
-        paths(e.paths)
+      each(regions.flatMap(index.members(_)).distinct.sorted) { v => out.writeInt(v); out.writeInt(index.regionOf(v)) }
+      each((0 until index.nEdges).sortBy(index.edgeKey)) { e =>
+        out.writeInt(index.edgeKey(e)._1); out.writeInt(index.edgeKey(e)._2)
+        out.writeInt(index.edgeRi(e)); out.writeInt(index.edgeRj(e)); out.writeBoolean(index.edgeIsT(e))
+        out.writeInt(index.pref(e).fold(-1)(_.masterId)); out.writeInt(index.pref(e).fold(-1)(_.slaveRt))
+        paths(index.edgePaths(e))
       }
-      val inner = index.innerPaths.indices.filter(index.innerPaths(_).nonEmpty)
-      out.writeInt(inner.size)
-      inner.foreach { r => out.writeInt(r); paths(index.innerPaths(r)) }
+      each(regions.filter(index.innerPathsOf(_).nonEmpty)) { r => out.writeInt(r); paths(index.innerPathsOf(r)) }
       out.flush()
       md.digest().map("%02x".format(_)).mkString
     }
@@ -109,13 +105,7 @@ object L2RPipeline {
     }
 
     // Step 1 (Section V): learn preferences for T-edges
-    val (learned, tLearn) = timed {
-      val tedges = index0.edges.values.filter(_.isT).map { e =>
-        PreferenceLearning.TEdgePaths(e.ri, e.rj,
-          e.paths.map(_.verts), e.paths.map(_.count))
-      }.toSeq
-      PreferenceLearning.learn(net, tedges)
-    }
+    val (learned, tLearn) = timed(PreferenceLearning.learn(net, PreferenceLearning.tEdgePaths(index0)))
 
     // Step 2: transfer preferences to B-edges
     val (transferRes, tTransfer) = timed {

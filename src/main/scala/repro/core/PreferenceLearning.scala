@@ -44,6 +44,15 @@ object PreferenceLearning {
     def slaveRt: Int = pref.slaveRt
   }
 
+  /** The path sets of `index`'s T-edges, in edge-row order, each stored
+    * path decoded once ([[RegionGraphIndex.verts]]).
+    */
+  def tEdgePaths(index: RegionGraphIndex): Seq[TEdgePaths] =
+    (0 until index.nEdges).filter(index.edgeIsT(_)).map { e =>
+      val ps = index.edgePaths(e)
+      TEdgePaths(index.edgeRi(e), index.edgeRj(e), ps.map(index.verts), ps.map(index.pathCount(_)))
+    }
+
   /** Learned preferences keyed by their region edge's (min, max) key. */
   def byKey(learned: Seq[LearnedPref]): Map[(Int, Int), LearnedPref] =
     learned.map(lp => lp.key -> lp).toMap

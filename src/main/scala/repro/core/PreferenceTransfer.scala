@@ -64,14 +64,14 @@ object PreferenceTransfer {
   /** Number of feature columns: 3 master (DI/TT/FC) + 6 slave road types. */
   val P: Int = 9
 
-  /** The Y columns: column c.id (0..2) is master cost type c, and column
-    * x ≥ 3 is slave road type `slaveOf(x)` (1..6).
+  /** The features of preference p, as its Y columns: column c.id (0..2) of
+    * its master cost type c and, with a slave road type rt (1..6), column
+    * rt + 2. Transfer's Y and Fig 9's Jaccard accuracy read them.
     */
-  private def slaveOf(x: Int): Int = x - 2
+  def columns(p: Preference): Set[Int] = Set(p.master.id) ++ p.slave.map(_ + 2)
 
-  /** Whether preference p has the feature of Y column x. */
-  private def hasColumn(p: Preference, x: Int): Boolean =
-    if (x < CostType.all.size) p.master.id == x else p.slave.contains(slaveOf(x))
+  /** The slave road type of Y column x ≥ 3, as [[columns]] numbers it. */
+  private def slaveOf(x: Int): Int = x - 2
 
   /** A slave column is decoded only when its score is at least this
     * fraction of the master column's.
@@ -172,7 +172,7 @@ object PreferenceTransfer {
 
   /** Column x of S·Y: Y's T-edge rows, as S[i,i] = 1 for T-edges. */
   private[core] def yColumn(feats: IndexedSeq[REdgeFeat], x: Int): Array[Double] =
-    feats.map(f => if (f.label.exists(hasColumn(_, x))) 1.0 else 0.0).toArray
+    feats.map(f => if (f.label.exists(columns(_).contains(x))) 1.0 else 0.0).toArray
 
   /** [[transfer]]; kept for l2rbench until the benchmark PR; `spark` is unused. */
   def transfer(spark: SparkSession, feats: IndexedSeq[REdgeFeat],
@@ -206,18 +206,16 @@ object PreferenceTransfer {
       solves.map(_.iterations), solves.map(_.relResidual), scanned)
   }
 
-  /** Build region-edge features from a region graph and the learned T-edge
-    * preferences.
+  /** Build region-edge features from a region graph's edge rows, centroids
+    * and top road types, and the learned T-edge preferences.
     */
   def features(index: RegionGraphIndex,
-               learned: Map[(Int, Int), PreferenceLearning.LearnedPref]): IndexedSeq[REdgeFeat] = {
+               learned: Map[(Int, Int), PreferenceLearning.LearnedPref]): IndexedSeq[REdgeFeat] =
     // T-edges first (the paper's convention for S)
-    val all = index.edges.values.toIndexedSeq.sortBy(e => (!e.isT, e.ri, e.rj))
-    all.map { e =>
-      val a = index.regions(e.ri); val b = index.regions(e.rj)
-      val dis = math.hypot(a.cx - b.cx, a.cy - b.cy)
-      val fp = fPairs(a.topRts, b.topRts)
-      REdgeFeat(e.ri, e.rj, dis, fp, if (e.isT) learned.get(e.key).map(_.pref) else None)
+    (0 until index.nEdges).sortBy(e => (!index.edgeIsT(e), index.edgeRi(e), index.edgeRj(e))).map { e =>
+      val a = index.edgeRi(e); val b = index.edgeRj(e)
+      val dis = math.hypot(index.cx(a) - index.cx(b), index.cy(a) - index.cy(b))
+      REdgeFeat(a, b, dis, fPairs(index.topRts(a), index.topRts(b)),
+        if (index.edgeIsT(e)) learned.get(index.edgeKey(e)).map(_.pref) else None)
     }
-  }
 }

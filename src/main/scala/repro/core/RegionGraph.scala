@@ -5,7 +5,7 @@ import repro.roadnet.{Preference, RoadNetwork}
 import repro.traj.Trip
 import repro.util.CsrGraph
 
-import scala.collection.immutable.{ArraySeq, VectorBuilder}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** A road-network path attached to a region edge, with the number of
@@ -41,12 +41,13 @@ final case class RegionEdgeData(
 /** The routing infrastructure of Section IV: region vertices, region edges
   * and their stored paths, and inner-region paths, held in primitive arrays.
   *
-  * A region's id is its position. The index is built from the regions in
-  * id order, so region i has id i as [[Clustering.cluster]] numbers them,
-  * from the edge rows, and from the regions' inner paths by id (a region
-  * past the end of `inner` has none). It rejects a region whose id is not
-  * its position, a repeated edge key, an edge to an unknown region and inner
-  * paths of an unknown region. The serialised fields are arrays only:
+  * A region's id is its position. The public constructor builds the index
+  * from the regions in id order, so region i has id i as
+  * [[Clustering.cluster]] numbers them, from the edge rows, and from the
+  * regions' inner paths by id (a region past the end of `inner` has none).
+  * It rejects a region whose id is not its position, a repeated edge key, an
+  * edge to an unknown region and inner paths of an unknown region. The
+  * serialised fields are arrays only:
   *  - the regions by id (centroid `cx`/`cy`), with three concatenated lists
   *    and their offsets (region i's entries are positions off(i) until
   *    off(i + 1)): top road types, members and transfer centres;
@@ -55,62 +56,75 @@ final case class RegionEdgeData(
   *  - every stored path as a byte range of one array (`pathOff`,
   *    `pathBytes`), with its trajectory count, in path groups: group e < E
   *    holds edge row e's paths and group E + i region i's inner paths, the
-  *    paths `groupOff(g)` until `groupOff(g + 1)`. A path's bytes are its
+  *    paths `groupOff(g)` until `groupOff(g + 1)`; path p's bytes are
+  *    positions `pathOff(p)` until `pathOff(p + 1)`. A path's bytes are its
   *    vertices as zigzag varints of the difference from the previous
   *    vertex, the first from 0, in wrapping `Int` arithmetic: a difference
   *    under 2^27 in magnitude takes at most 4 bytes, a road hop between
   *    nearby ids 1 or 2. Only this class and its companion know the
-  *    format: [[indexIn]], [[slice]] and the views decode it.
+  *    format: [[indexIn]], [[slice]] and [[verts]] decode it.
+  *
+  * Every fit stage and the router read the arrays: learning the edge rows
+  * and [[verts]], transfer the rows, centroids and top road types,
+  * [[BEdgePaths.materialise]] the rows, transfer centres and members before
+  * [[withBEdgePaths]] replaces the B-edge rows' paths and every row's
+  * preference, and [[L2RPipeline.Model.digest]] all of them.
   *
   * Derived on first use and never serialised: the vertex → region array
   * (from the members), the region adjacency as CSR (each region's
   * neighbours in edge-row order, which fixes the region search's ties,
   * with the edge row and the centroid distance), the search kernel over it
   * (`graph`, the [[repro.util.CsrGraph]] that also runs every road search),
-  * and the views: `regions` and `innerPaths` are `IndexedSeq`s by id,
+  * and three record views, adapters for the benchmark harness, `Diag` and
+  * the tests that no fit stage reads: `regions` by id, and the
   * `vertexRegion` and `edges` maps. A map of at most four entries iterates
   * in the order it was built, a larger one in hash order (the order of an
-  * immutable hash map depends on its keys alone); `edgeRows` reads the rows
-  * in row order. The router ([[L2RRouter]]) reads the arrays and the stored
-  * paths through [[indexIn]] and [[slice]].
+  * immutable hash map depends on its keys alone).
   */
 @SerialVersionUID(3L)
-final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]])
-    extends Serializable {
-  import RegionGraphIndex.packPaths
+final class RegionGraphIndex private (
+    private[core] val cx: Array[Double], private[core] val cy: Array[Double],
+    topRtOff: Array[Int], topRt: Array[Int], memberOff: Array[Int], member: Array[Int], tcOff: Array[Int], tc: Array[Int],
+    private[core] val edgeRi: Array[Int], private[core] val edgeRj: Array[Int],
+    private[core] val edgeIsT: Array[Boolean], private[core] val edgePref: Array[Byte],
+    private[core] val groupOff: Array[Int], private[core] val pathOff: Array[Int],
+    private[core] val pathBytes: Array[Byte], private[core] val pathCount: Array[Int]) extends Serializable {
 
-  /** The regions by id; read while constructing only. */
-  @transient private[this] val byId: Array[RegionInfo] = infos.toArray
+  private def this(byId: Array[RegionInfo], rows: Seq[RegionEdgeData], paths: RegionGraphIndex.Packer) =
+    this(byId.map(_.cx), byId.map(_.cy),
+      byId.map(_.topRts.length).scanLeft(0)(_ + _), byId.flatMap(_.topRts),
+      byId.map(_.members.length).scanLeft(0)(_ + _), byId.flatMap(_.members),
+      byId.map(_.transferCenters.length).scanLeft(0)(_ + _), byId.flatMap(_.transferCenters),
+      rows.map(_.ri).toArray, rows.map(_.rj).toArray, rows.map(_.isT).toArray,
+      rows.map(_.pref.fold(-1)(Preference.code).toByte).toArray,
+      paths.groupOff.result(), paths.pathOff.result(), paths.bytes.result(), paths.count.result())
 
-  require(byId.indices.forall(i => byId(i).id == i), "a region's id is not its position")
-  require(rows.map(_.key).distinct.size == rows.size, "an edge key is repeated")
-  require(rows.forall(e => math.min(e.ri, e.rj) >= 0 && math.max(e.ri, e.rj) < byId.length),
-    "an edge joins an unknown region")
-  require(inner.size <= byId.length, "inner paths of an unknown region")
-
-  private val cx: Array[Double] = byId.map(_.cx)
-  private val cy: Array[Double] = byId.map(_.cy)
-  private val topRtOff: Array[Int] = byId.map(_.topRts.length).scanLeft(0)(_ + _)
-  private val topRt: Array[Int] = byId.flatMap(_.topRts)
-  private val memberOff: Array[Int] = byId.map(_.members.length).scanLeft(0)(_ + _)
-  private val member: Array[Int] = byId.flatMap(_.members)
-  private val tcOff: Array[Int] = byId.map(_.transferCenters.length).scanLeft(0)(_ + _)
-  private val tc: Array[Int] = byId.flatMap(_.transferCenters)
-  private[core] val edgeRi: Array[Int] = rows.map(_.ri).toArray
-  private[core] val edgeRj: Array[Int] = rows.map(_.rj).toArray
-  private val edgeIsT: Array[Boolean] = rows.map(_.isT).toArray
-  private[core] val edgePref: Array[Byte] = rows.map(_.pref.fold(-1)(Preference.code).toByte).toArray
-  /** The stored paths, packed in one pass; read while constructing only. */
-  @transient private[this] val packed: RegionGraphIndex.Packed = packPaths(rows, inner, byId.length)
-  private[core] val groupOff: Array[Int] = packed.groupOff
-  /** Path p's bytes are positions pathOff(p) until pathOff(p + 1) (tests read the sizes). */
-  private[core] val pathOff: Array[Int] = packed.pathOff
-  private val pathBytes: Array[Byte] = packed.bytes
-  private[core] val pathCount: Array[Int] = packed.count
+  /** The index of regions `infos`, edge rows `rows` and inner paths `inner`. */
+  def this(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]]) =
+    this(RegionGraphIndex.checked(infos, rows, inner), rows,
+      RegionGraphIndex.pack(rows.iterator.map(_.paths) ++ inner.iterator.padTo(infos.size, Nil)))
 
   def nRegions: Int = cx.length
   def nEdges: Int = edgeRi.length
   def nTEdges: Int = edgeIsT.count(identity)
+
+  /** The (min, max) key of edge row `e`. */
+  private[core] def edgeKey(e: Int): (Int, Int) = (edgeRi(e) min edgeRj(e), edgeRi(e) max edgeRj(e))
+
+  private def ints(off: Array[Int], values: Array[Int], i: Int): Array[Int] =
+    java.util.Arrays.copyOfRange(values, off(i), off(i + 1))
+
+  /** Region `r`'s member vertices. */
+  private[core] def members(r: Int): Array[Int] = ints(memberOff, member, r)
+
+  /** Region `r`'s top road types, in rank order. */
+  private[core] def topRts(r: Int): List[Int] = ints(topRtOff, topRt, r).toList
+
+  /** Region `r`'s transfer centres, most used first. */
+  private[core] def transferCenters(r: Int): Array[Int] = ints(tcOff, tc, r)
+
+  /** Edge row `e`'s preference. */
+  private[core] def pref(e: Int): Option[Preference] = if (edgePref(e) < 0) None else Some(Preference.fromCode(edgePref(e)))
 
   /** Each vertex's region, -1 for none; a member of several regions is in
     * the one with the largest id, and vertices past the last member are in
@@ -188,59 +202,68 @@ final class RegionGraphIndex(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], 
   /** The vertices of stored path `p` at positions `from` until `until`, as
     * `slice` clamps them.
     */
-  private[core] def slice(p: Int, from: Int, until: Int): Vector[Int] = {
-    val r = reader(p)
-    val out = new VectorBuilder[Int]
-    var k = 0
-    while (k < until && r.hasNext) { val v = r.next(); if (k >= from) out += v; k += 1 }
-    out.result()
+  private[core] def slice(p: Int, from: Int, until: Int): Vector[Int] = reader(p).slice(from, until).toVector
+
+  /** The vertices of stored path `p`, as a `List`: learning's Eq. 1 scoring
+    * ran measurably slower in a fresh JVM when the vertices were
+    * array-backed.
+    */
+  private[core] def verts(p: Int): List[Int] = reader(p).toList
+
+  /** Stored paths `ps` as records. */
+  private[core] def pathRecs(ps: Range): Seq[PathRec] = ps.map(p => PathRec(verts(p), pathCount(p))).to(ArraySeq)
+
+  /** This index with edge row e's preference code `pref(e)` and, for each
+    * B-edge row e, the paths `bPaths(e)` (count 0: synthetic, not
+    * trajectory-backed) in place of its own. The region and row arrays are
+    * shared, and the other path groups' bytes are copied, not decoded.
+    */
+  private[core] def withBEdgePaths(pref: Array[Byte], bPaths: Int => Seq[Seq[Int]]): RegionGraphIndex = {
+    val out = new RegionGraphIndex.Packer
+    for (g <- 0 until groupOff.length - 1) {
+      if (g < nEdges && !edgeIsT(g)) bPaths(g).foreach(out.add(_, 0))
+      else (groupOff(g) until groupOff(g + 1)).foreach(out.copy(this, _))
+      out.endGroup()
+    }
+    new RegionGraphIndex(cx, cy, topRtOff, topRt, memberOff, member, tcOff, tc, edgeRi, edgeRj, edgeIsT, pref,
+      out.groupOff.result(), out.pathOff.result(), out.bytes.result(), out.count.result())
   }
 
-  // ------------------------------------------------- views, rebuilt on demand
-
-  private def ints(off: Array[Int], values: Array[Int], i: Int): Array[Int] =
-    java.util.Arrays.copyOfRange(values, off(i), off(i + 1))
-
-  /** Stored paths `ps` in the collection classes the map-based index held:
-    * learning's Eq. 1 scoring ran measurably slower in a fresh JVM when the
-    * vertices were array-backed.
-    */
-  private def pathRecs(ps: Range): Seq[PathRec] = ps.map { p =>
-    val r = reader(p)
-    val verts = mutable.ListBuffer.empty[Int]
-    while (r.hasNext) verts += r.next()
-    PathRec(verts.toList, pathCount(p))
-  }.to(ArraySeq)
+  // ------------------------------------------ record views, rebuilt on demand
 
   /** The regions, by id. */
   @transient lazy val regions: IndexedSeq[RegionInfo] = IndexedSeq.tabulate(nRegions) { r =>
-    RegionInfo(r, ints(memberOff, member, r), cx(r), cy(r), ints(topRtOff, topRt, r).toList, ints(tcOff, tc, r))
+    RegionInfo(r, members(r), cx(r), cy(r), topRts(r), transferCenters(r))
   }
 
   /** The vertex → region lookup of every region member. */
-  @transient lazy val vertexRegion: Map[Int, Int] =
-    (0 until nRegions).flatMap(r => (memberOff(r) until memberOff(r + 1)).map(member(_) -> r)).toMap
+  @transient lazy val vertexRegion: Map[Int, Int] = (0 until nRegions).flatMap(r => members(r).map(_ -> r)).toMap
 
-  /** The edge rows, in row order. */
+  /** The edge rows, in row order; only [[edges]] and the tests read them. */
   private[core] def edgeRows: IndexedSeq[RegionEdgeData] = edgeRi.indices.map { e =>
-    RegionEdgeData(edgeRi(e), edgeRj(e), edgeIsT(e), pathRecs(edgePaths(e)),
-      if (edgePref(e) < 0) None else Some(Preference.fromCode(edgePref(e))))
+    RegionEdgeData(edgeRi(e), edgeRj(e), edgeIsT(e), pathRecs(edgePaths(e)), pref(e))
   }
 
   /** The region edges by their (min, max) key. */
   @transient lazy val edges: Map[(Int, Int), RegionEdgeData] = edgeRows.map(e => e.key -> e).toMap
-
-  /** The inner-region paths, by region id (empty for a region with none). */
-  @transient lazy val innerPaths: IndexedSeq[Seq[PathRec]] =
-    IndexedSeq.tabulate(nRegions)(r => pathRecs(innerPathsOf(r)))
 }
 
 object RegionGraphIndex {
 
+  /** `infos` by id, after the public constructor's checks. */
+  private def checked(infos: Seq[RegionInfo], rows: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]]): Array[RegionInfo] = {
+    val byId = infos.toArray
+    require(byId.indices.forall(i => byId(i).id == i), "a region's id is not its position")
+    require(rows.map(_.key).distinct.size == rows.size, "an edge key is repeated")
+    require(rows.forall(e => e.key._1 >= 0 && e.key._2 < byId.length), "an edge joins an unknown region")
+    require(inner.size <= byId.length, "inner paths of an unknown region")
+    byId
+  }
+
   /** Decodes the vertices of one stored path, bytes `from` until `until`
-    * of `bytes`, one [[next]] at a time; [[packPaths]] wrote them.
+    * of `bytes`, one [[next]] at a time; [[Packer]] wrote them.
     */
-  private final class PathReader(bytes: Array[Byte], from: Int, until: Int) {
+  private final class PathReader(bytes: Array[Byte], from: Int, until: Int) extends Iterator[Int] {
     private[this] var i = from
     private[this] var v = 0
     def hasNext: Boolean = i < until
@@ -254,35 +277,42 @@ object RegionGraphIndex {
     }
   }
 
-  /** The stored paths of [[RegionGraphIndex]], packed: group and byte
-    * offsets, the bytes, and each path's trajectory count.
+  /** Builds the stored paths of a [[RegionGraphIndex]], group by group:
+    * group and byte offsets, the bytes, and each path's trajectory count.
     */
-  private final class Packed(val groupOff: Array[Int], val pathOff: Array[Int], val bytes: Array[Byte], val count: Array[Int])
-
-  /** Packs the path groups, each edge row's paths and then each of the
-    * `nRegions` regions' inner paths, in one pass. (Here, not in the class,
-    * so that `inner` is read by no closure there and stays a constructor
-    * argument, not a serialised field.)
-    */
-  private def packPaths(rows: Seq[RegionEdgeData], inner: Seq[Seq[PathRec]], nRegions: Int): Packed = {
+  private final class Packer {
     val groupOff = new mutable.ArrayBuilder.ofInt; val pathOff = new mutable.ArrayBuilder.ofInt
     val bytes = new mutable.ArrayBuilder.ofByte; val count = new mutable.ArrayBuilder.ofInt
     groupOff += 0; pathOff += 0
-    for (group <- rows.iterator.map(_.paths) ++ inner.iterator.padTo(nRegions, Nil)) {
-      for (path <- group) {
-        var prev = 0
-        for (v <- path.verts) {
-          val d = v - prev
-          var z = (d << 1) ^ (d >> 31) // zigzag: small magnitudes, either sign, to small codes
-          while ((z & ~0x7f) != 0) { bytes += ((z & 0x7f) | 0x80).toByte; z >>>= 7 }
-          bytes += z.toByte
-          prev = v
-        }
-        pathOff += bytes.length; count += path.count
+
+    /** Appends a path of vertices `verts` used by `n` trajectories. */
+    def add(verts: Iterable[Int], n: Int): Unit = {
+      var prev = 0
+      for (v <- verts) {
+        val d = v - prev
+        var z = (d << 1) ^ (d >> 31) // zigzag: small magnitudes, either sign, to small codes
+        while ((z & ~0x7f) != 0) { bytes += ((z & 0x7f) | 0x80).toByte; z >>>= 7 }
+        bytes += z.toByte
+        prev = v
       }
-      groupOff += count.length
+      pathOff += bytes.length; count += n
     }
-    new Packed(groupOff.result(), pathOff.result(), bytes.result(), count.result())
+
+    /** Appends stored path `p` of `from`, its bytes as they are. */
+    def copy(from: RegionGraphIndex, p: Int): Unit = {
+      bytes.addAll(from.pathBytes, from.pathOff(p), from.pathOff(p + 1) - from.pathOff(p))
+      pathOff += bytes.length; count += from.pathCount(p)
+    }
+
+    /** Ends the group of the paths appended since the last one ended. */
+    def endGroup(): Unit = groupOff += count.length
+  }
+
+  /** Packs the path groups `groups` in one pass. */
+  private def pack(groups: Iterator[Seq[PathRec]]): Packer = {
+    val out = new Packer
+    groups.foreach { group => group.foreach(p => out.add(p.verts, p.count)); out.endGroup() }
+    out
   }
 
   /** See [[RegionGraphIndex.adjacency]]. */

@@ -2,7 +2,7 @@ package repro.eval
 
 import repro.core.{L2RPipeline, PreferenceTransfer}
 import repro.core.PreferenceTransfer.REdgeFeat
-import repro.roadnet.{CostType, Preference}
+import repro.roadnet.Preference
 
 /** The Figure 9 experiment: accuracy of preference transfer, evaluated by
   * 5-fold style hold-out over T-edges (the paper's "partitions"). One
@@ -15,10 +15,11 @@ object TransferEval {
   final case class HoldoutResult(accuracy: Double, nullRate: Double, millis: Long, nnz: Long,
                                  nLabelled: Int, nHeldOut: Int)
 
-  /** Jaccard similarity of two preferences' feature sets {master, slave}. */
+  /** Jaccard similarity of two preferences' feature sets {master, slave}
+    * ([[PreferenceTransfer.columns]]).
+    */
   def prefJaccard(pred: Preference, gt: Preference): Double = {
-    def features(p: Preference): Set[Either[CostType, Int]] = Set(Left(p.master)) ++ p.slave.map(Right(_))
-    val a = features(pred); val b = features(gt)
+    val a = PreferenceTransfer.columns(pred); val b = PreferenceTransfer.columns(gt)
     (a intersect b).size.toDouble / (a union b).size
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.roadnet.{CostType, Preference}
+import repro.roadnet.{CostType, Preference, RoadNetwork}
 import repro.{Fixtures, TestNets}
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -88,6 +88,56 @@ class BEdgePathsSpec extends AnyFunSuite {
     val out = BEdgePaths.materialise(net, idx, fivePrefs, tcsPerSide)
     val inOrder = new RegionGraphIndex(five, rows.map(e => out.edges(e.key)), Nil)
     assert(Fixtures.serialise(out).sameElements(Fixtures.serialise(inOrder)), "materialise reordered the edge rows")
+  }
+
+  /** `materialise` by the route it replaced: the edge rows decoded to
+    * records, each B-edge given its per-pair `prefDijkstra` paths, every
+    * edge its preference from `prefs`, and the index rebuilt from records
+    * with its regions and inner paths.
+    */
+  private def roundTrip(idx: RegionGraphIndex, prefs: Map[(Int, Int), Option[Preference]], roads: RoadNetwork): RegionGraphIndex = {
+    val rows = idx.edgeRows.map { e =>
+      if (e.isT) e.copy(pref = prefs.getOrElse(e.key, e.pref))
+      else {
+        val a = idx.regions(e.ri); val b = idx.regions(e.rj)
+        val pref = prefs.getOrElse(e.key, None).getOrElse(Preference(CostType.TT, None))
+        val pairs = for (s <- BEdgePaths.pickTcs(roads, a, b, tcsPerSide); d <- BEdgePaths.pickTcs(roads, b, a, tcsPerSide) if s != d)
+          yield (s, d)
+        val paths = pairs.flatMap { case (s, d) => roads.prefDijkstra(s, d, pref) }.filter(_.length >= 2).distinct
+        e.copy(paths = paths.map(PathRec(_, 0)), pref = prefs.getOrElse(e.key, None))
+      }
+    }
+    new RegionGraphIndex(idx.regions, rows, (0 until idx.nRegions).map(r => idx.pathRecs(idx.innerPathsOf(r))))
+  }
+
+  /** Asserts that `out` is `roundTrip` of `idx` to the byte, and that its
+    * T-edge and inner paths hold the bytes and counts they held in `idx`.
+    */
+  private def assertRoundTrip(idx: RegionGraphIndex, out: RegionGraphIndex,
+                              prefs: Map[(Int, Int), Option[Preference]], roads: RoadNetwork): Unit = {
+    val ref = roundTrip(idx, prefs, roads)
+    assert(L2RPipeline.Model.digest(out) === L2RPipeline.Model.digest(ref))
+    assert(Fixtures.serialise(out).sameElements(Fixtures.serialise(ref)), "materialise differs from the round trip")
+    def bytes(ix: RegionGraphIndex, p: Int) = (ix.pathBytes.slice(ix.pathOff(p), ix.pathOff(p + 1)).toSeq, ix.pathCount(p))
+    val kept = (0 until idx.nEdges).filter(idx.edgeIsT(_)).map(e => (idx.edgePaths(e), out.edgePaths(e))) ++
+      (0 until idx.nRegions).map(r => (idx.innerPathsOf(r), out.innerPathsOf(r)))
+    kept.foreach { case (before, after) => assert(after.map(bytes(out, _)) === before.map(bytes(idx, _))) }
+  }
+
+  test("materialise equals the record round trip it replaced, on the tiny scenario") {
+    val sc = Fixtures.tiny
+    val idx = RegionGraph.build(sc.net, sc.train, sc.model.regions, RegionGraph.Params())
+    assert(idx.nTEdges > 0 && idx.nEdges > idx.nTEdges && (0 until idx.nRegions).exists(idx.innerPathsOf(_).nonEmpty))
+    val out = BEdgePaths.materialise(sc.net, idx, sc.model.transfer.prefs, tcsPerSide)
+    assert(L2RPipeline.Model.digest(out) === sc.model.digest)
+    assertRoundTrip(idx, out, sc.model.transfer.prefs, sc.net)
+  }
+
+  test("materialise equals the record round trip it replaced, on rows out of the edges map's order") {
+    val rows = fivePrefs.keys.toSeq.sorted.reverse.map { case (a, b) => RegionEdgeData(a, b, isT = false, Nil, None) }
+    val idx = new RegionGraphIndex(five, rows, Nil)
+    assert(idx.edges.keys.toSeq !== rows.map(_.key), "the rows came in the edges map's order")
+    assertRoundTrip(idx, BEdgePaths.materialise(net, idx, fivePrefs, tcsPerSide), fivePrefs, net)
   }
 
   test("materialise attaches paths and preferences to every B-edge") {

@@ -41,7 +41,7 @@ class EndToEndSpec extends SparkSpec {
     private def edgeBetween(a: Int, b: Int) = index.edges.get(if (a < b) (a, b) else (b, a))
 
     private def innerRoute(r: Int, s: Int, d: Int): Vector[Int] = {
-      val cands = index.innerPaths(r).flatMap { pr =>
+      val cands = index.pathRecs(index.innerPathsOf(r)).flatMap { pr =>
         val is = pr.verts.indexOf(s); val id = pr.verts.indexOf(d)
         if (is >= 0 && id > is) Some((pr.count, pr.verts.slice(is, id + 1).toVector)) else None
       }

@@ -4,10 +4,14 @@ import repro.Fixtures
 import repro.eval.Scenario
 import repro.roadnet.{Preference, RoadNetGen}
 import repro.traj.TrajectoryGen
+import repro.util.DriverPool
 
 import java.io.{DataOutputStream, OutputStream}
+import java.nio.file.Paths
 import java.security.{DigestOutputStream, MessageDigest}
 import org.scalatest.funsuite.AnyFunSuite
+
+import scala.io.Source
 
 /** Identity pins for the training sets of l2rbench's two workloads:
   * `Scenario.build` on D2-lite at scale 0.07 and on D1-lite at 0.1. Each fit
@@ -15,9 +19,11 @@ import org.scalatest.funsuite.AnyFunSuite
   * of its serialised index, L2R and Fastest keep their routes of the
   * scenario's test trips, and the router keeps its region path of every
   * ordered region pair. A change that moves any of them fails here; a
-  * deliberate re-baseline updates the pins and says why.
+  * deliberate re-baseline updates the pins and says why. Both fits also
+  * keep their digests in a second JVM that may use one core.
   */
 class WorkloadPinsSpec extends AnyFunSuite {
+  import WorkloadPinsSpec._
 
   /** SHA-256 (hex) of what `write` writes to a data stream. */
   private def sha(write: DataOutputStream => Unit): String = {
@@ -67,19 +73,21 @@ class WorkloadPinsSpec extends AnyFunSuite {
     (bytes.length, sha(_.write(bytes)))
   }
 
-  private def scenario(name: String, cfg: (RoadNetGen.Config, TrajectoryGen.Config, Seq[Double])): Scenario =
-    Scenario.build(name, cfg._1, cfg._2, cfg._3)
+  private def scenario(name: String): Scenario = {
+    val (netCfg, trajCfg, bounds) = Workloads(name)
+    Scenario.build(name, netCfg, trajCfg, bounds)
+  }
 
-  private lazy val d2 = scenario("D2-lite", Scenario.d2Config(0.07))
-  private lazy val d1 = scenario("D1-lite", Scenario.d1Config(0.1))
+  private lazy val d2 = scenario("D2-lite")
+  private lazy val d1 = scenario("D1-lite")
 
   test("D2-lite at scale 0.07 keeps its model digest and learned preferences") {
-    assert(d2.model.digest === "503f97cad7727490fd1a80d4264a3c8c45c58e5164995ccec1e0dadb8e069dcb")
+    assert(d2.model.digest === Digests("D2-lite"))
     assert(learnedSha(d2.model.learned) === "00fb0c3c48c23577239bad031c47a5306e44a000d3e67710e9b028c47da3a7aa")
   }
 
   test("D1-lite at scale 0.1 keeps its model digest and learned preferences") {
-    assert(d1.model.digest === "d0c4d1305bec3dbe96e045ad50b8c9baed2d872d69544212246d2849d8a33ee8")
+    assert(d1.model.digest === Digests("D1-lite"))
     assert(learnedSha(d1.model.learned) === "b7f1a2b893a7fac09016c45f62e4dad18a5afe5152bc5e7fdb671f5aca17fe8a")
   }
 
@@ -103,5 +111,41 @@ class WorkloadPinsSpec extends AnyFunSuite {
   test("D1-lite at scale 0.1 keeps its region path of every region pair and a connected region graph") {
     assert(regionPathsSha(d1) === "d883ece7e2ba8189d6e315545e65c2249ab20db770529209e775df54386918d8")
     assert(d1.model.index.isConnected)
+  }
+
+  test("both training sets keep their model digests in a JVM with one core") {
+    val javaBin = Paths.get(sys.props("java.home"), "bin", "java").toString
+    val child = new ProcessBuilder(javaBin, "-XX:ActiveProcessorCount=1", "-Xmx1g",
+      "-cp", sys.props("java.class.path"), classOf[WorkloadPinsSpec].getName)
+      .redirectErrorStream(true).start()
+    val out = Source.fromInputStream(child.getInputStream).mkString
+    assert(child.waitFor() === 0, out)
+    val lines = out.linesIterator.map(_.split(' ').toSeq).toSeq
+    assert(lines.contains(Seq("threads", "1")), out)
+    assert(lines.collect { case Seq("digest", name, hex) => name -> hex }.toMap === Digests, out)
+  }
+}
+
+object WorkloadPinsSpec {
+
+  /** The training sets of l2rbench's workloads, by scenario name. */
+  private val Workloads = Map("D2-lite" -> Scenario.d2Config(0.07), "D1-lite" -> Scenario.d1Config(0.1))
+
+  /** Each training set's pinned `Model.digest`. */
+  private val Digests = Map(
+    "D2-lite" -> "503f97cad7727490fd1a80d4264a3c8c45c58e5164995ccec1e0dadb8e069dcb",
+    "D1-lite" -> "d0c4d1305bec3dbe96e045ad50b8c9baed2d872d69544212246d2849d8a33ee8")
+
+  /** Prints the driver pool's size ("threads n") and fits each training set
+    * as `Scenario.build` does, printing its digest ("digest name hex"); the
+    * one-core test runs it in a second JVM.
+    */
+  def main(args: Array[String]): Unit = {
+    println(s"threads ${DriverPool.Threads}")
+    Workloads.foreach { case (name, (netCfg, trajCfg, _)) =>
+      val net = RoadNetGen.grid(netCfg)
+      val (train, _) = TrajectoryGen.split(TrajectoryGen.generateLocal(net, trajCfg), trajCfg.trainFrac)
+      println(s"digest $name ${L2RPipeline.fit(net, train).digest}")
+    }
   }
 }
